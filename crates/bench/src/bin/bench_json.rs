@@ -108,7 +108,6 @@ fn session_bench_config(quick: bool) -> SessionConfig {
             threads: 2,
             sessions: 2_000,
             ops_per_thread: 500,
-            shards: 2,
             heap_capacity: 32 << 20,
             ..Default::default()
         }
@@ -117,7 +116,6 @@ fn session_bench_config(quick: bool) -> SessionConfig {
             threads: 8,
             sessions: 1 << 20,
             ops_per_thread: 50_000,
-            shards: 8,
             heap_capacity: 512 << 20,
             ..Default::default()
         }

@@ -26,7 +26,6 @@ fn main() {
         threads: 8,
         sessions: 20_000,
         ops_per_thread: 5_000,
-        shards: 8,
         heap_capacity: 64 << 20,
         ..Default::default()
     };

@@ -61,7 +61,7 @@ pub use intern::PlanInterner;
 pub use plan::{DummySlot, FieldAccess, LayoutPlan, PlanHash};
 pub use registry::PlanRegistry;
 pub use policy::{DummyPolicy, PermuteMode, RandomizationPolicy};
-pub use pool::{DrawMode, PlanPools, PoolPolicy, PoolStats};
+pub use pool::{PlanPools, PoolPolicy, PoolStats};
 pub use static_olr::StaticOlrTable;
 pub use stateless::{
     code_position, code_rank, code_space, pack_perm, permute_index, stateless_bound,

@@ -8,20 +8,16 @@
 //! class, draw one with a single random index, and regenerate entries in
 //! batch / in the background of the draw cadence.
 //!
-//! [`PoolPolicy`] makes the entropy-vs-speed trade explicit:
-//!
-//! * [`DrawMode::Sampled`] — draw with replacement from a `size`-entry
-//!   pool. Each allocation costs one buffered-RNG index plus an `Arc`
-//!   clone; every `refill_batch` draws one ring entry is regenerated
-//!   (round-robin churn) so the pool contents keep rotating. Two
-//!   consecutive same-class allocations share a layout with probability
-//!   ≈ `1/size` — measurable with the estimator in
-//!   `crates/attacks/src/diversity.rs`.
-//! * [`DrawMode::Unique`] — every allocation consumes a distinct
-//!   pregenerated plan; the pool is refilled `refill_batch` at a time
-//!   when it runs dry. Diversity is identical to the unpooled path (one
-//!   fresh generation per allocation, amortized in batches); only the
-//!   batching locality is bought.
+//! [`PoolPolicy`] makes the entropy-vs-speed trade explicit. A pool
+//! draws with replacement from a `size`-entry ring: each allocation
+//! costs one buffered-RNG index plus an `Arc` clone, and every
+//! `refill_batch` draws one ring entry is regenerated (round-robin
+//! churn) so the pool contents keep rotating. Two consecutive
+//! same-class allocations share a layout with probability ≈ `1/size` —
+//! measurable with the estimator in `crates/attacks/src/diversity.rs`.
+//! A disabled pool ([`PoolPolicy::disabled`]) keeps no ring and serves
+//! every draw with one fresh generation, so callers never branch on the
+//! policy.
 //!
 //! Pools interact with the [`PlanInterner`] exactly like the unpooled
 //! path: every generated plan is interned, so pooled and unpooled plans
@@ -39,32 +35,17 @@ use crate::engine::LayoutEngine;
 use crate::intern::PlanInterner;
 use crate::plan::LayoutPlan;
 
-/// How allocations draw from a class's pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrawMode {
-    /// Consume a distinct pregenerated plan per allocation; regenerate
-    /// the pool `refill_batch` at a time when it runs dry. Per-allocation
-    /// entropy identical to the unpooled path.
-    Unique,
-    /// Draw with replacement via one random index; churn one entry every
-    /// `refill_batch` draws. P(two consecutive same-class allocations
-    /// share a layout) ≈ `1/size`.
-    Sampled,
-}
-
 /// The entropy-vs-speed knob for the allocation fast path.
 ///
-/// `size == 0` (see [`PoolPolicy::disabled`]) turns pooling off: the
-/// runtime falls back to one fresh generation per allocation.
+/// `size == 0` (see [`PoolPolicy::disabled`]) turns pooling off: every
+/// draw is one fresh generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolPolicy {
     /// Ring capacity per class (distinct pregenerated plans kept live).
     pub size: usize,
-    /// Generation batch: how many plans are (re)generated per refill
-    /// event, and (in `Sampled` mode) the churn period in draws.
+    /// Generation batch: how many plans are generated per warm-up
+    /// refill event, and the churn period in draws.
     pub refill_batch: usize,
-    /// Draw discipline; see [`DrawMode`].
-    pub draw: DrawMode,
 }
 
 impl Default for PoolPolicy {
@@ -75,7 +56,6 @@ impl Default for PoolPolicy {
         PoolPolicy {
             size: 32,
             refill_batch: 16,
-            draw: DrawMode::Sampled,
         }
     }
 }
@@ -87,27 +67,13 @@ impl PoolPolicy {
         PoolPolicy {
             size: 0,
             refill_batch: 0,
-            draw: DrawMode::Unique,
         }
     }
 
     /// A sampled pool of `size` entries churned/refilled `refill_batch`
     /// at a time.
     pub fn sampled(size: usize, refill_batch: usize) -> Self {
-        PoolPolicy {
-            size,
-            refill_batch,
-            draw: DrawMode::Sampled,
-        }
-    }
-
-    /// A unique-draw pool refilled `batch` at a time.
-    pub fn unique(batch: usize) -> Self {
-        PoolPolicy {
-            size: batch,
-            refill_batch: batch,
-            draw: DrawMode::Unique,
-        }
+        PoolPolicy { size, refill_batch }
     }
 
     /// Whether the pool path is active at all.
@@ -117,11 +83,12 @@ impl PoolPolicy {
 
     /// Expected probability that two consecutive same-class allocations
     /// draw the same pool slot (structural plan collisions add a little
-    /// on top for tiny classes). `Unique` mode never re-serves a slot.
+    /// on top for tiny classes). A disabled pool never re-serves a plan.
     pub fn expected_consecutive_share(&self) -> f64 {
-        match self.draw {
-            DrawMode::Unique => 0.0,
-            DrawMode::Sampled => 1.0 / self.size.max(1) as f64,
+        if self.enabled() {
+            1.0 / self.size as f64
+        } else {
+            0.0
         }
     }
 }
@@ -141,11 +108,9 @@ pub struct PoolStats {
 #[derive(Debug, Clone, Default)]
 struct ClassPool {
     plans: Vec<Arc<LayoutPlan>>,
-    /// `Unique` mode: next unconsumed entry.
-    cursor: usize,
-    /// `Sampled` mode: total draws (drives the churn cadence).
+    /// Total draws (drives the churn cadence).
     draws: u64,
-    /// `Sampled` mode: next ring entry to regenerate (round-robin).
+    /// Next ring entry to regenerate (round-robin).
     victim: usize,
 }
 
@@ -206,7 +171,8 @@ impl PlanPools {
     }
 
     /// Draw a plan for `info`: the pooled replacement for
-    /// `interner.intern(engine.generate(info, rng))`.
+    /// `interner.intern(engine.generate(info, rng))`, which is exactly
+    /// what a disabled pool does.
     ///
     /// All randomness flows through `rng`, so for a fixed seed the draw
     /// sequence — and every plan it returns — is deterministic.
@@ -217,7 +183,9 @@ impl PlanPools {
         interner: &mut PlanInterner,
         rng: &mut R,
     ) -> Arc<LayoutPlan> {
-        debug_assert!(self.policy.enabled(), "draw() on a disabled pool");
+        if !self.policy.enabled() {
+            return interner.intern(engine.generate(info, rng));
+        }
         let id = self.class_pool_id(info.hash());
         self.draw_at(id, info, engine, interner, rng)
     }
@@ -237,9 +205,12 @@ impl PlanPools {
         k: usize,
         out: &mut Vec<Arc<LayoutPlan>>,
     ) {
-        debug_assert!(self.policy.enabled(), "draw_batch() on a disabled pool");
-        let id = self.class_pool_id(info.hash());
         out.reserve(k);
+        if !self.policy.enabled() {
+            out.extend((0..k).map(|_| interner.intern(engine.generate(info, rng))));
+            return;
+        }
+        let id = self.class_pool_id(info.hash());
         for _ in 0..k {
             let plan = self.draw_at(id, info, engine, interner, rng);
             out.push(plan);
@@ -280,49 +251,28 @@ impl PlanPools {
     ) -> Arc<LayoutPlan> {
         let policy = self.policy;
         let pool = &mut self.pools[id as usize];
-        match policy.draw {
-            DrawMode::Unique => {
-                if pool.cursor == pool.plans.len() {
-                    pool.plans.clear();
-                    pool.cursor = 0;
-                    let batch = policy.refill_batch.min(policy.size).max(1);
-                    for _ in 0..batch {
-                        pool.plans.push(interner.intern(engine.generate(info, rng)));
-                    }
-                    self.stats.refills += 1;
-                    self.stats.generated += batch as u64;
-                } else {
-                    self.stats.hits += 1;
-                }
-                let plan = Arc::clone(&pool.plans[pool.cursor]);
-                pool.cursor += 1;
-                plan
+        if pool.plans.len() < policy.size {
+            // Warm-up: batch-fill toward capacity.
+            let batch = policy.refill_batch.min(policy.size - pool.plans.len());
+            for _ in 0..batch {
+                pool.plans.push(interner.intern(engine.generate(info, rng)));
             }
-            DrawMode::Sampled => {
-                if pool.plans.len() < policy.size {
-                    // Warm-up: batch-fill toward capacity.
-                    let batch = policy.refill_batch.max(1).min(policy.size - pool.plans.len());
-                    for _ in 0..batch {
-                        pool.plans.push(interner.intern(engine.generate(info, rng)));
-                    }
-                    self.stats.refills += 1;
-                    self.stats.generated += batch as u64;
-                } else if pool.draws % policy.refill_batch as u64 == 0 {
-                    // Steady state: churn one ring entry every
-                    // `refill_batch` draws so pool contents keep moving.
-                    let victim = pool.victim;
-                    pool.plans[victim] = interner.intern(engine.generate(info, rng));
-                    pool.victim = (victim + 1) % pool.plans.len();
-                    self.stats.refills += 1;
-                    self.stats.generated += 1;
-                } else {
-                    self.stats.hits += 1;
-                }
-                pool.draws += 1;
-                let idx = rng.random_range(0..pool.plans.len());
-                Arc::clone(&pool.plans[idx])
-            }
+            self.stats.refills += 1;
+            self.stats.generated += batch as u64;
+        } else if pool.draws.is_multiple_of(policy.refill_batch as u64) {
+            // Steady state: churn one ring entry every `refill_batch`
+            // draws so pool contents keep moving.
+            let victim = pool.victim;
+            pool.plans[victim] = interner.intern(engine.generate(info, rng));
+            pool.victim = (victim + 1) % pool.plans.len();
+            self.stats.refills += 1;
+            self.stats.generated += 1;
+        } else {
+            self.stats.hits += 1;
         }
+        pool.draws += 1;
+        let idx = rng.random_range(0..pool.plans.len());
+        Arc::clone(&pool.plans[idx])
     }
 }
 
@@ -358,7 +308,7 @@ mod tests {
 
     #[test]
     fn draw_batch_matches_sequential_draws() {
-        for policy in [PoolPolicy::default(), PoolPolicy::unique(8), PoolPolicy::sampled(4, 2)] {
+        for policy in [PoolPolicy::default(), PoolPolicy::disabled(), PoolPolicy::sampled(4, 2)] {
             let info = probe();
             let engine = LayoutEngine::new(RandomizationPolicy::default());
             let (mut ia, mut ib) = (PlanInterner::new(), PlanInterner::new());
@@ -401,23 +351,6 @@ mod tests {
         assert!(stats.hits > 850, "hits {}", stats.hits);
         assert!(stats.refills > 0);
         assert_eq!(pools.pool_len(info.hash()), 32);
-    }
-
-    #[test]
-    fn unique_mode_consumes_distinct_generations() {
-        let info = probe();
-        let engine = LayoutEngine::new(RandomizationPolicy::default());
-        let mut interner = PlanInterner::new();
-        let mut pools = PlanPools::new(PoolPolicy::unique(8));
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..64 {
-            pools.draw(&info, &engine, &mut interner, &mut rng);
-        }
-        let stats = pools.stats();
-        // 64 draws at batch 8: 8 refills, one generation per draw.
-        assert_eq!(stats.generated, 64);
-        assert_eq!(stats.refills, 8);
-        assert_eq!(stats.hits, 64 - 8);
     }
 
     #[test]
@@ -470,10 +403,26 @@ mod tests {
     }
 
     #[test]
+    fn disabled_pool_serves_one_fresh_generation_per_draw() {
+        let info = probe();
+        let engine = LayoutEngine::new(RandomizationPolicy::default());
+        let mut pools = PlanPools::new(PoolPolicy::disabled());
+        let (mut ia, mut ib) = (PlanInterner::new(), PlanInterner::new());
+        let (mut ra, mut rb) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        for _ in 0..16 {
+            let drawn = pools.draw(&info, &engine, &mut ia, &mut ra);
+            let fresh = ib.intern(engine.generate(&info, &mut rb));
+            assert_eq!(drawn.plan_hash(), fresh.plan_hash());
+        }
+        assert_eq!(pools.class_count(), 0, "a disabled pool keeps no ring");
+        assert_eq!(pools.stats(), PoolStats::default());
+    }
+
+    #[test]
     fn disabled_policy_reports_inactive() {
         assert!(!PoolPolicy::disabled().enabled());
         assert!(PoolPolicy::default().enabled());
         assert_eq!(PoolPolicy::default().expected_consecutive_share(), 1.0 / 32.0);
-        assert_eq!(PoolPolicy::unique(8).expected_consecutive_share(), 0.0);
+        assert_eq!(PoolPolicy::disabled().expected_consecutive_share(), 0.0);
     }
 }

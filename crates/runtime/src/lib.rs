@@ -67,13 +67,10 @@ pub use api::PolarRuntime;
 pub use error::{RuntimeError, TrapReport};
 // Re-exported so runtime configurators can name the pool policy without
 // a direct polar-layout dependency.
-pub use polar_layout::{DrawMode, PoolPolicy, StatelessPolicy};
+pub use polar_layout::{PoolPolicy, StatelessPolicy};
 // Re-exported because every runtime entry point takes or returns heap
 // addresses; callers shouldn't need a polar-simheap dependency for that.
 pub use polar_simheap::Addr;
-pub use runtime::{
-    MagazinePolicy, ObjectMeta, ObjectRuntime, ObjectState, RandomizeMode, RuntimeConfig,
-    SiteCache,
-};
+pub use runtime::{ObjectMeta, ObjectRuntime, ObjectState, RandomizeMode, RuntimeConfig, SiteCache};
 pub use sharded::{HeapFootprint, ShardHandle, ShardedRuntime};
 pub use stats::{AtomicRuntimeStats, RuntimeStats};

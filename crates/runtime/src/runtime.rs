@@ -109,16 +109,6 @@ pub struct RuntimeConfig {
     /// bytes. Models trap slots being mapped-unreadable in a real
     /// deployment (Section IV-A3's traps, extended to reads).
     pub detect_probe_traps: bool,
-    /// Magazine policy for the sharded facade's per-handle allocation
-    /// front-end: each [`ShardHandle`](crate::ShardHandle) keeps a
-    /// per-size-class magazine of pre-reserved allocation capsules,
-    /// refilled `batch` at a time under one shard-lock acquisition, so
-    /// the common-case `olr_malloc` is a lock-free pop. Fast frees from
-    /// the same facade push onto a per-shard remote-free stack drained
-    /// by the owning shard at its next lock acquisition.
-    /// [`MagazinePolicy::disabled`] restores one lock round-trip per
-    /// allocation and per free. Plain `ObjectRuntime`s ignore this.
-    pub magazine: MagazinePolicy,
 }
 
 impl Default for RuntimeConfig {
@@ -135,37 +125,7 @@ impl Default for RuntimeConfig {
             pool: PoolPolicy::default(),
             stateless: StatelessPolicy::on(),
             detect_probe_traps: true,
-            magazine: MagazinePolicy::default(),
         }
-    }
-}
-
-/// Policy for the sharded facade's magazine-cached allocation front-end
-/// (see [`RuntimeConfig::magazine`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MagazinePolicy {
-    /// Capsules reserved per refill (one shard-lock acquisition amortized
-    /// over this many allocations). `0` disables magazines *and* the
-    /// lock-free free path: every facade malloc/free takes the shard
-    /// mutex, exactly as before the front-end existed.
-    pub batch: usize,
-}
-
-impl MagazinePolicy {
-    /// Magazines off: one shard-lock round trip per allocation and free.
-    pub fn disabled() -> Self {
-        MagazinePolicy { batch: 0 }
-    }
-
-    /// Whether the front-end is active.
-    pub fn enabled(&self) -> bool {
-        self.batch > 0
-    }
-}
-
-impl Default for MagazinePolicy {
-    fn default() -> Self {
-        MagazinePolicy { batch: 32 }
     }
 }
 
@@ -709,12 +669,7 @@ impl ObjectRuntime {
                 .expect("static table present in StaticOlr mode")
                 .plan_for(info),
             RandomizeMode::PerAllocation { .. } => {
-                if self.config.pool.enabled() {
-                    self.pools.draw(info, &self.engine, &mut self.interner, &mut self.rng)
-                } else {
-                    let plan = self.engine.generate(info, &mut self.rng);
-                    self.interner.intern(plan)
-                }
+                self.pools.draw(info, &self.engine, &mut self.interner, &mut self.rng)
             }
         }
     }
@@ -736,24 +691,6 @@ impl ObjectRuntime {
             return self.olr_malloc_stateless(info);
         }
         let plan = self.draw_plan(info);
-        self.olr_malloc_with_plan(info, plan)
-    }
-
-    /// Instrumented allocation with a caller-supplied layout plan.
-    ///
-    /// This is how the sharded facade allocates: each thread draws the
-    /// plan from its *own* pool and RNG outside the shard lock, then the
-    /// shard only has to malloc, seed traps and record metadata. Callers
-    /// must pass a plan generated (or interned) for `info`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates heap exhaustion as [`RuntimeError::Heap`].
-    pub fn olr_malloc_with_plan(
-        &mut self,
-        info: &Arc<ClassInfo>,
-        plan: Arc<LayoutPlan>,
-    ) -> Result<Addr, RuntimeError> {
         let capsule = self.reserve_with_plan(info, plan)?;
         self.stats.allocations += 1;
         Ok(capsule.base)
@@ -761,13 +698,13 @@ impl ObjectRuntime {
 
     /// Reserve one fully-armed allocation for `info` with a
     /// caller-supplied plan, *without counting it as an allocation*.
-    /// This is the body of [`olr_malloc_with_plan`] minus the stat: the
-    /// magazine front-end reserves capsules in batches under the shard
-    /// lock and counts `allocations` only when a thread actually pops
-    /// one, so `allocations == frees` keeps holding at quiescence even
-    /// with capsules parked in magazines.
-    ///
-    /// [`olr_malloc_with_plan`]: ObjectRuntime::olr_malloc_with_plan
+    /// This is the body of [`olr_malloc`](ObjectRuntime::olr_malloc)
+    /// minus the stat: the sharded facade's magazine front-end draws
+    /// plans from each thread's own pool outside the shard lock,
+    /// reserves capsules in batches under it, and counts `allocations`
+    /// only when a thread actually pops one, so `allocations == frees`
+    /// keeps holding at quiescence even with capsules parked in
+    /// magazines.
     pub(crate) fn reserve_with_plan(
         &mut self,
         info: &Arc<ClassInfo>,

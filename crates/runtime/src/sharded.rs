@@ -40,14 +40,16 @@
 //!   shard mutex, whose path does all of its own counting and error
 //!   construction; the fast path therefore only ever *adds* the
 //!   success-shape counters, keeping the two paths' statistics
-//!   semantics identical.
-//! * **Magazine front-end + remote frees.** With
-//!   [`RuntimeConfig::magazine`] enabled (the default), each
-//!   [`ShardHandle`] keeps per-size-class **magazines** of pre-reserved
-//!   allocation capsules — fully armed objects (block allocated,
-//!   canaries seeded, metadata recorded and published) — refilled
-//!   `batch` at a time under one home-shard lock acquisition, so the
-//!   common-case `olr_malloc` is a lock-free pop. The matching free
+//!   semantics identical. Each lock-free operation has one body, generic
+//!   over where it counts: the facade's shared atomics or a handle's
+//!   plain per-thread sheet.
+//! * **Magazine front-end + remote frees.** Each [`ShardHandle`] keeps
+//!   per-size-class **magazines** of pre-reserved allocation capsules —
+//!   fully armed objects (block allocated, canaries seeded, metadata
+//!   recorded and published) — refilled `MAGAZINE_BATCH` at a time
+//!   under one home-shard lock acquisition, so the common-case
+//!   `olr_malloc` is a lock-free pop. This is the only way a handle
+//!   allocates in `PerAllocation` mode. The matching free
 //!   fast path validates the published snapshot (and scans traps
 //!   through the shared arena when configured), claims the slot with a
 //!   generation-exact CAS on the publication's packed life word, and
@@ -98,6 +100,10 @@ const SHARD_SEED_SALT: u64 = 0x5348_4152; // "SHAR"
 /// relaxed stores, so a couple of spins almost always suffice; the cap
 /// bounds reader latency when a writer is descheduled mid-window.
 const FAST_RETRIES: usize = 8;
+
+/// Capsules a handle reserves per magazine refill: one home-shard lock
+/// acquisition amortized over this many allocations.
+const MAGAZINE_BATCH: usize = 32;
 
 // Shape indices for the per-shard lock-free counters: `_COLD` is the
 // object's first counted access since its record was (re)written, the
@@ -159,6 +165,33 @@ impl FastCounters {
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct RemoteHead(AtomicU32);
+
+/// Where a lock-free operation counts. The facade counts straight into
+/// the runtime's shared atomics; a [`ShardHandle`] counts into its plain
+/// per-thread sheet and folds it in at [`ShardHandle::flush_stats`]. The
+/// one body per operation is generic over this sink, so both front
+/// doors run the same code.
+trait Tally {
+    /// Count one read attempt on `shard` under counter index `idx`.
+    fn read(&mut self, shard: usize, idx: usize);
+    /// Count a whole-stats delta (the fast-free counters).
+    fn add(&mut self, delta: &RuntimeStats);
+}
+
+/// The facade's tally: one relaxed `fetch_add` per event.
+struct Shared<'a>(&'a ShardedRuntime);
+
+impl Tally for Shared<'_> {
+    #[inline]
+    fn read(&mut self, shard: usize, idx: usize) {
+        self.0.fast[shard].bump(idx);
+    }
+
+    #[inline]
+    fn add(&mut self, delta: &RuntimeStats) {
+        self.0.facade.add(delta);
+    }
+}
 
 /// Outcome of one optimistic snapshot-and-resolve attempt.
 enum FastAttempt {
@@ -316,8 +349,6 @@ impl ShardedRuntime {
             interner: PlanInterner::new(),
             pools: PlanPools::new(self.config.pool),
             rng: thread_rng(self.config.seed, thread),
-            flushed_unique: 0,
-            flushed_dedup: 0,
             sheet: vec![[0u64; 8]; self.shards.len()].into_boxed_slice(),
             magazines: Vec::new(),
             pending: RuntimeStats::default(),
@@ -527,68 +558,52 @@ impl ShardedRuntime {
         shape + usize::from(warm)
     }
 
-    /// Lock-free `olr_getptr`/`olr_getptr_ic` attempt, with counting
-    /// left to the caller: returns the resolved address (`None` = take
-    /// the shard mutex) and the `(shard, counter index)` the attempt
-    /// must be counted under (`None` = unroutable address, nothing to
-    /// count). The split lets the facade count straight into the shared
-    /// atomics while a [`ShardHandle`] counts into its plain per-thread
-    /// sheet — one `fetch_add` per flush instead of per read.
+    /// The one `olr_getptr`/`olr_getptr_ic` body (the latter with `ic`):
+    /// resolve lock-free when the published snapshot allows, else take
+    /// the owning shard's mutex, whose path does all of its own counting
+    /// and error construction. The attempt is counted into `tally`.
     #[inline]
-    fn fast_getptr_raw(
+    fn getptr_in(
         &self,
         base: Addr,
         expected: ClassHash,
         field: usize,
         mut ic: Option<&mut SiteCache>,
-    ) -> (Option<Addr>, Option<(usize, usize)>) {
-        let Some(shard) = self.shard_of(base) else {
-            return (None, None);
-        };
+        tally: &mut impl Tally,
+    ) -> Result<Addr, RuntimeError> {
+        let shard = self.shard_of(base).ok_or(RuntimeError::UnknownObject(base))?;
         for _ in 0..FAST_RETRIES {
             match self.fast_attempt(shard, base, expected, field, ic.as_deref_mut()) {
                 FastAttempt::Hit { addr, slot, shape, warmed, .. } => {
-                    return (Some(addr), Some((shard, self.fast_idx(shard, slot, shape, warmed))));
+                    tally.read(shard, self.fast_idx(shard, slot, shape, warmed));
+                    return Ok(addr);
                 }
                 FastAttempt::Fallback => break,
                 FastAttempt::Contended => std::hint::spin_loop(),
             }
         }
-        (None, Some((shard, SHAPE_FALLBACK)))
-    }
-
-    /// [`ShardedRuntime::fast_getptr_raw`] with the count folded into
-    /// the shared atomics (the facade path).
-    #[inline]
-    fn fast_getptr(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        ic: Option<&mut SiteCache>,
-    ) -> Option<Addr> {
-        let (resolved, count) = self.fast_getptr_raw(base, expected, field, ic);
-        if let Some((shard, idx)) = count {
-            self.fast[shard].bump(idx);
+        tally.read(shard, SHAPE_FALLBACK);
+        let mut rt = self.shard(shard)?;
+        match ic {
+            Some(ic) => rt.olr_getptr_ic(base, expected, field, ic),
+            None => rt.olr_getptr(base, expected, field),
         }
-        resolved
     }
 
-    /// Lock-free `read_field` attempt, counter split as in
-    /// [`ShardedRuntime::fast_getptr_raw`]: resolve, load the value
-    /// from the shared arena, then re-check the slot's sequence — an
-    /// unchanged sequence proves no writer window (field store, free,
-    /// reuse) overlapped the byte load, so the value is never torn.
+    /// The one `read_field` body, counted as in
+    /// [`ShardedRuntime::getptr_in`]: resolve, load the value from the
+    /// shared arena, then re-check the slot's sequence — an unchanged
+    /// sequence proves no writer window (field store, free, reuse)
+    /// overlapped the byte load, so the value is never torn.
     #[inline]
-    fn fast_read_field_raw(
+    fn read_field_in(
         &self,
         base: Addr,
         expected: ClassHash,
         field: usize,
-    ) -> (Option<u64>, Option<(usize, usize)>) {
-        let Some(shard) = self.shard_of(base) else {
-            return (None, None);
-        };
+        tally: &mut impl Tally,
+    ) -> Result<u64, RuntimeError> {
+        let shard = self.shard_of(base).ok_or(RuntimeError::UnknownObject(base))?;
         for _ in 0..FAST_RETRIES {
             match self.fast_attempt(shard, base, expected, field, None) {
                 FastAttempt::Hit { addr, width, slot, seq, shape, warmed } => {
@@ -598,24 +613,32 @@ impl ShardedRuntime {
                         std::hint::spin_loop();
                         continue; // torn load: retry from a fresh snapshot
                     }
-                    return (Some(value), Some((shard, self.fast_idx(shard, slot, shape, warmed))));
+                    tally.read(shard, self.fast_idx(shard, slot, shape, warmed));
+                    return Ok(value);
                 }
                 FastAttempt::Fallback => break,
                 FastAttempt::Contended => std::hint::spin_loop(),
             }
         }
-        (None, Some((shard, SHAPE_FALLBACK)))
+        tally.read(shard, SHAPE_FALLBACK);
+        self.shard(shard)?.read_field(base, expected, field)
     }
 
-    /// [`ShardedRuntime::fast_read_field_raw`] with the count folded
-    /// into the shared atomics (the facade path).
+    /// The one `olr_free` body: the lock-free claim
+    /// ([`ShardedRuntime::fast_free`]) counted into `tally`, else the
+    /// owning shard's mutex.
     #[inline]
-    fn fast_read_field(&self, base: Addr, expected: ClassHash, field: usize) -> Option<u64> {
-        let (resolved, count) = self.fast_read_field_raw(base, expected, field);
-        if let Some((shard, idx)) = count {
-            self.fast[shard].bump(idx);
+    fn free_in(&self, addr: Addr, tally: &mut impl Tally) -> Result<(), RuntimeError> {
+        if let Some(scanned) = self.fast_free(addr) {
+            tally.add(&RuntimeStats {
+                frees: 1,
+                fast_frees: 1,
+                trap_scans: u64::from(scanned),
+                ..RuntimeStats::default()
+            });
+            return Ok(());
         }
-        resolved
+        self.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.olr_free(addr)
     }
 
     /// Lock-free `olr_free` attempt. `Some(scanned)` means the free
@@ -638,9 +661,6 @@ impl ShardedRuntime {
     ///
     /// [`claim_free`]: HeapPublisher::claim_free
     fn fast_free(&self, addr: Addr) -> Option<bool> {
-        if !self.config.magazine.enabled() {
-            return None;
-        }
         let shard = self.shard_of(addr)?;
         let p = &self.pubs[shard];
         'retry: for _ in 0..FAST_RETRIES {
@@ -706,9 +726,8 @@ impl ShardedRuntime {
         self.registry.get(id).cloned()
     }
 
-    /// [`ObjectRuntime::olr_free`], routed by address. With magazines
-    /// enabled the free first attempts the lock-free path
-    /// ([`ShardedRuntime::fast_free`]); every condition the fast path
+    /// [`ObjectRuntime::olr_free`], routed by address. The free first
+    /// attempts the lock-free claim; every condition the fast path
     /// cannot classify falls back to the shard mutex.
     ///
     /// # Errors
@@ -716,16 +735,7 @@ impl ShardedRuntime {
     /// As for the single-thread call; addresses outside every shard
     /// window report [`HeapError::InvalidFree`].
     pub fn olr_free(&self, addr: Addr) -> Result<(), RuntimeError> {
-        if let Some(scanned) = self.fast_free(addr) {
-            self.facade.add(&RuntimeStats {
-                frees: 1,
-                fast_frees: 1,
-                trap_scans: u64::from(scanned),
-                ..RuntimeStats::default()
-            });
-            return Ok(());
-        }
-        self.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.olr_free(addr)
+        self.free_in(addr, &mut Shared(self))
     }
 
     /// [`ObjectRuntime::olr_getptr`], routed by address.
@@ -741,10 +751,7 @@ impl ShardedRuntime {
         expected: ClassHash,
         field: usize,
     ) -> Result<Addr, RuntimeError> {
-        if let Some(addr) = self.fast_getptr(base, expected, field, None) {
-            return Ok(addr);
-        }
-        self.route(base, RuntimeError::UnknownObject(base))?.olr_getptr(base, expected, field)
+        self.getptr_in(base, expected, field, None, &mut Shared(self))
     }
 
     /// [`ObjectRuntime::olr_getptr_ic`], routed by address. The site
@@ -761,11 +768,7 @@ impl ShardedRuntime {
         field: usize,
         ic: &mut SiteCache,
     ) -> Result<Addr, RuntimeError> {
-        if let Some(addr) = self.fast_getptr(base, expected, field, Some(ic)) {
-            return Ok(addr);
-        }
-        self.route(base, RuntimeError::UnknownObject(base))?
-            .olr_getptr_ic(base, expected, field, ic)
+        self.getptr_in(base, expected, field, Some(ic), &mut Shared(self))
     }
 
     /// [`ObjectRuntime::read_field`], routed by address.
@@ -780,10 +783,7 @@ impl ShardedRuntime {
         expected: ClassHash,
         field: usize,
     ) -> Result<u64, RuntimeError> {
-        if let Some(value) = self.fast_read_field(base, expected, field) {
-            return Ok(value);
-        }
-        self.route(base, RuntimeError::UnknownObject(base))?.read_field(base, expected, field)
+        self.read_field_in(base, expected, field, &mut Shared(self))
     }
 
     /// [`ObjectRuntime::write_field`], routed by address.
@@ -1090,10 +1090,6 @@ pub struct ShardHandle<'rt> {
     interner: PlanInterner,
     pools: PlanPools,
     rng: BufferedRng,
-    /// Interner absolute values already folded into the facade atomics
-    /// (the interner only grows, so flushing sends the delta).
-    flushed_unique: u64,
-    flushed_dedup: u64,
     /// Plain per-shard shape counters for this thread's lock-free
     /// reads. A locked `fetch_add` is a full barrier on most hardware
     /// and costs as much as the whole optimistic resolution, so the
@@ -1116,6 +1112,20 @@ pub struct ShardHandle<'rt> {
     pending: RuntimeStats,
 }
 
+/// A handle's tally: plain increments into its per-thread sheet and
+/// pending stats, folded into the shared atomics at flush.
+impl Tally for ShardHandle<'_> {
+    #[inline]
+    fn read(&mut self, shard: usize, idx: usize) {
+        self.sheet[shard][idx] += 1;
+    }
+
+    #[inline]
+    fn add(&mut self, delta: &RuntimeStats) {
+        self.pending += *delta;
+    }
+}
+
 /// One class's magazine: reserved capsules awaiting their pop.
 #[derive(Debug, Default)]
 struct Magazine {
@@ -1133,59 +1143,14 @@ impl ShardHandle<'_> {
         self.home
     }
 
-    /// Instrumented allocation. In `PerAllocation` mode the layout plan
-    /// is drawn from this thread's pool/RNG *before* the home shard's
-    /// lock is taken — the critical section is just malloc + trap
-    /// seeding + metadata record. Other modes (and the stateless
-    /// small-class path, whose plan derives from heap identity) delegate
-    /// to the shard's own deterministic state.
-    ///
-    /// With [`RuntimeConfig::magazine`] enabled (the default), the
-    /// common case never reaches a lock at all: the allocation pops a
-    /// pre-reserved capsule from this handle's per-class magazine, and
-    /// only an empty magazine pays one shard-lock acquisition to
-    /// reserve the next `batch` capsules. Per-thread plan streams are
-    /// unchanged — a refill draws exactly the plans the next `batch`
-    /// unbatched allocations would have drawn, in order.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ObjectRuntime::olr_malloc`].
-    pub fn olr_malloc(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
-        let per_alloc = matches!(self.rt.mode, RandomizeMode::PerAllocation { .. });
-        let stateless = per_alloc && self.rt.config.stateless.applies_to(info.field_count());
-        let batch = self.rt.config.magazine.batch;
-        if per_alloc && batch > 0 {
-            return self.magazine_malloc(info, stateless, batch);
-        }
-        if !per_alloc || stateless {
-            return self.rt.shard(self.home)?.olr_malloc(info);
-        }
-        let plan = if self.rt.config.pool.enabled() {
-            let before = self.pools.stats();
-            let plan = self.pools.draw(info, &self.engine, &mut self.interner, &mut self.rng);
-            let after = self.pools.stats();
-            self.rt.facade.add(&RuntimeStats {
-                pool_hits: after.hits - before.hits,
-                pool_refills: after.refills - before.refills,
-                ..RuntimeStats::default()
-            });
-            plan
-        } else {
-            self.interner.intern(self.engine.generate(info, &mut self.rng))
-        };
-        // Interner growth/dedup since the last flush, as deltas.
-        let interned = RuntimeStats {
-            unique_plans: self.interner.unique_plans() as u64,
-            dedup_saved: self.interner.dedup_hits(),
-            ..RuntimeStats::default()
-        };
-        self.flush_interner_delta(interned);
-        self.rt.shard(self.home)?.olr_malloc_with_plan(info, plan)
-    }
-
-    /// Magazine-served allocation: pop a pre-reserved capsule, refilling
-    /// the class's magazine (one lock, `batch` reservations) when empty.
+    /// Instrumented allocation. In `PerAllocation` mode the common case
+    /// never reaches a lock: the allocation pops a pre-reserved capsule
+    /// from this handle's per-class magazine, and only an empty magazine
+    /// pays one home-shard lock acquisition to reserve the next
+    /// `MAGAZINE_BATCH` capsules. Layout plans are drawn from this
+    /// thread's pool/RNG *before* that lock is taken, so the per-thread
+    /// plan stream is a pure function of `(root seed, thread)`. Other
+    /// modes delegate to the home shard's own deterministic state.
     ///
     /// Counting happens at the *pop*: the reservation paths count
     /// nothing, so `allocations` (and `stateless_allocs`) track objects
@@ -1194,12 +1159,15 @@ impl ShardHandle<'_> {
     /// that triggered a refill counts as `magazine_refills`, every
     /// other pop as a `magazine_hits` — at batch `K` the steady-state
     /// hit rate is `(K-1)/K`.
-    fn magazine_malloc(
-        &mut self,
-        info: &Arc<ClassInfo>,
-        stateless: bool,
-        batch: usize,
-    ) -> Result<Addr, RuntimeError> {
+    ///
+    /// # Errors
+    ///
+    /// As for [`ObjectRuntime::olr_malloc`].
+    pub fn olr_malloc(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
+        if !matches!(self.rt.mode, RandomizeMode::PerAllocation { .. }) {
+            return self.rt.shard(self.home)?.olr_malloc(info);
+        }
+        let stateless = self.rt.config.stateless.applies_to(info.field_count());
         let key = info.hash().0;
         let idx = match self.magazines.iter().position(|(k, _)| *k == key) {
             Some(i) => i,
@@ -1209,7 +1177,7 @@ impl ShardHandle<'_> {
             }
         };
         let refilled = if self.magazines[idx].1.caps.is_empty() {
-            self.refill_magazine(idx, info, stateless, batch)?;
+            self.refill_magazine(idx, info, stateless)?;
             true
         } else {
             false
@@ -1231,54 +1199,45 @@ impl ShardHandle<'_> {
         Ok(cap.base)
     }
 
-    /// Reserve up to `batch` capsules for `info` under one home-shard
-    /// lock acquisition. Pooled plans are drawn from this thread's own
-    /// state *before* the lock (same stream as unbatched allocation);
-    /// the critical section is the reservation loop alone. A mid-batch
-    /// heap error keeps the partial magazine (the heap is near-full —
-    /// hand out what was reserved); a first-reservation error
-    /// propagates, leaving the magazine empty.
+    /// Reserve up to `MAGAZINE_BATCH` capsules for `info` under one
+    /// home-shard lock acquisition. Stateful plans are drawn from this
+    /// thread's own pool *before* the lock, and the pool and interner
+    /// growth of that draw reach the facade atomics as one delta; the
+    /// critical section is the reservation loop alone. A mid-batch heap
+    /// error keeps the partial magazine (the heap is near-full — hand
+    /// out what was reserved); a first-reservation error propagates,
+    /// leaving the magazine empty.
     fn refill_magazine(
         &mut self,
         idx: usize,
         info: &Arc<ClassInfo>,
         stateless: bool,
-        batch: usize,
     ) -> Result<(), RuntimeError> {
         let mut plans: Vec<Arc<LayoutPlan>> = Vec::new();
         if !stateless {
-            if self.rt.config.pool.enabled() {
-                let before = self.pools.stats();
-                self.pools.draw_batch(
-                    info,
-                    &self.engine,
-                    &mut self.interner,
-                    &mut self.rng,
-                    batch,
-                    &mut plans,
-                );
-                let after = self.pools.stats();
-                self.rt.facade.add(&RuntimeStats {
-                    pool_hits: after.hits - before.hits,
-                    pool_refills: after.refills - before.refills,
-                    ..RuntimeStats::default()
-                });
-            } else {
-                for _ in 0..batch {
-                    plans.push(self.interner.intern(self.engine.generate(info, &mut self.rng)));
-                }
-            }
-            let interned = RuntimeStats {
-                unique_plans: self.interner.unique_plans() as u64,
-                dedup_saved: self.interner.dedup_hits(),
+            let pool = self.pools.stats();
+            let (unique, dedup) = (self.interner.unique_plans(), self.interner.dedup_hits());
+            self.pools.draw_batch(
+                info,
+                &self.engine,
+                &mut self.interner,
+                &mut self.rng,
+                MAGAZINE_BATCH,
+                &mut plans,
+            );
+            let after = self.pools.stats();
+            self.rt.facade.add(&RuntimeStats {
+                pool_hits: after.hits - pool.hits,
+                pool_refills: after.refills - pool.refills,
+                unique_plans: (self.interner.unique_plans() - unique) as u64,
+                dedup_saved: self.interner.dedup_hits() - dedup,
                 ..RuntimeStats::default()
-            };
-            self.flush_interner_delta(interned);
+            });
         }
         let mut shard = self.rt.shard(self.home)?;
         let caps = &mut self.magazines[idx].1.caps;
         if stateless {
-            for i in 0..batch {
+            for i in 0..MAGAZINE_BATCH {
                 match shard.reserve_stateless(info) {
                     Ok(cap) => caps.push_back(cap),
                     Err(err) if i == 0 => return Err(err),
@@ -1295,23 +1254,6 @@ impl ShardHandle<'_> {
             }
         }
         Ok(())
-    }
-
-    /// Fold the interner counters' growth since the last flush into the
-    /// facade atomics.
-    fn flush_interner_delta(&mut self, current: RuntimeStats) {
-        // The interner only grows, so the delta since the previous flush
-        // is non-negative; track the high-water marks in-place.
-        let delta = RuntimeStats {
-            unique_plans: current.unique_plans - self.flushed_unique,
-            dedup_saved: current.dedup_saved - self.flushed_dedup,
-            ..RuntimeStats::default()
-        };
-        if delta.unique_plans != 0 || delta.dedup_saved != 0 {
-            self.rt.facade.add(&delta);
-        }
-        self.flushed_unique = current.unique_plans;
-        self.flushed_dedup = current.dedup_saved;
     }
 
     /// Raw (untracked) buffer allocation on the home shard.
@@ -1343,15 +1285,8 @@ impl ShardHandle<'_> {
     ///
     /// As for [`ShardedRuntime::olr_free`].
     pub fn olr_free(&mut self, addr: Addr) -> Result<(), RuntimeError> {
-        if let Some(scanned) = self.rt.fast_free(addr) {
-            self.pending.frees += 1;
-            self.pending.fast_frees += 1;
-            self.pending.trap_scans += u64::from(scanned);
-            return Ok(());
-        }
-        self.rt
-            .route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?
-            .olr_free(addr)
+        let rt = self.rt;
+        rt.free_in(addr, self)
     }
 
     /// [`ShardedRuntime::olr_getptr`], counted into this handle's
@@ -1368,17 +1303,8 @@ impl ShardHandle<'_> {
         expected: ClassHash,
         field: usize,
     ) -> Result<Addr, RuntimeError> {
-        let (resolved, count) = self.rt.fast_getptr_raw(base, expected, field, None);
-        if let Some((shard, idx)) = count {
-            self.sheet[shard][idx] += 1;
-        }
-        match resolved {
-            Some(addr) => Ok(addr),
-            None => self
-                .rt
-                .route(base, RuntimeError::UnknownObject(base))?
-                .olr_getptr(base, expected, field),
-        }
+        let rt = self.rt;
+        rt.getptr_in(base, expected, field, None, self)
     }
 
     /// [`ShardedRuntime::olr_getptr_ic`], counted into this handle's
@@ -1396,17 +1322,8 @@ impl ShardHandle<'_> {
         field: usize,
         ic: &mut SiteCache,
     ) -> Result<Addr, RuntimeError> {
-        let (resolved, count) = self.rt.fast_getptr_raw(base, expected, field, Some(ic));
-        if let Some((shard, idx)) = count {
-            self.sheet[shard][idx] += 1;
-        }
-        match resolved {
-            Some(addr) => Ok(addr),
-            None => self
-                .rt
-                .route(base, RuntimeError::UnknownObject(base))?
-                .olr_getptr_ic(base, expected, field, ic),
-        }
+        let rt = self.rt;
+        rt.getptr_in(base, expected, field, Some(ic), self)
     }
 
     /// [`ShardedRuntime::read_field`], counted into this handle's
@@ -1423,17 +1340,8 @@ impl ShardHandle<'_> {
         expected: ClassHash,
         field: usize,
     ) -> Result<u64, RuntimeError> {
-        let (resolved, count) = self.rt.fast_read_field_raw(base, expected, field);
-        if let Some((shard, idx)) = count {
-            self.sheet[shard][idx] += 1;
-        }
-        match resolved {
-            Some(value) => Ok(value),
-            None => self
-                .rt
-                .route(base, RuntimeError::UnknownObject(base))?
-                .read_field(base, expected, field),
-        }
+        let rt = self.rt;
+        rt.read_field_in(base, expected, field, self)
     }
 
     /// Fold this handle's pending counts — the lock-free read sheet and
@@ -2200,32 +2108,6 @@ mod tests {
         assert_eq!(stats.total_detections(), 0);
     }
 
-    /// `MagazinePolicy::disabled()` restores the pre-magazine facade:
-    /// every allocation takes the shard lock, every free goes through
-    /// the mutex, and the magazine/fast-free counters stay zero.
-    #[test]
-    fn disabled_magazines_restore_the_locked_paths() {
-        let mut config = RuntimeConfig::default();
-        config.heap.capacity = 64 << 20;
-        config.magazine = crate::runtime::MagazinePolicy::disabled();
-        let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), config, 2);
-        let info = people();
-        let mut h = rt.handle(0);
-        let objs: Vec<Addr> = (0..20).map(|_| h.olr_malloc(&info).unwrap()).collect();
-        for obj in objs {
-            rt.olr_free(obj).unwrap();
-        }
-        h.flush_stats();
-        let stats = rt.stats();
-        assert_eq!(stats.allocations, 20);
-        assert_eq!(stats.frees, 20);
-        assert_eq!(stats.magazine_hits, 0);
-        assert_eq!(stats.magazine_refills, 0);
-        assert_eq!(stats.magazine_returns, 0);
-        assert_eq!(stats.fast_frees, 0);
-        assert_eq!(stats.remote_drained, 0);
-    }
-
     /// Satellite: dropping a handle mid-unwind (the panic-safe flush
     /// point) still folds its pending counters into the facade and
     /// returns parked capsules to the shard, so no allocation capacity
@@ -2274,7 +2156,6 @@ mod tests {
     fn magazine_recycled_slots_bump_generations_by_one() {
         let mut config = RuntimeConfig::default();
         config.heap.capacity = 1 << 14; // ~160 blocks: reuse is forced
-        config.magazine = crate::runtime::MagazinePolicy { batch: 8 };
         let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), config, 1);
         let info = people();
         let mut h = rt.handle(0);

@@ -10,7 +10,6 @@ fn main() {
         threads,
         sessions,
         ops_per_thread: 400_000 / threads.max(1),
-        shards: 8,
         heap_capacity: capacity,
         ..Default::default()
     };

@@ -39,15 +39,15 @@ use polar_rng::{Rng, RngExt, SplitMix64, Zipf};
 /// Shape of a session-store run.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
-    /// Worker threads (each gets its own [`ShardedRuntime::handle`]).
+    /// Worker threads, each with its own [`ShardedRuntime::handle`],
+    /// and the runtime's shard count: one home shard per thread, so
+    /// every shard's arena slice is reachable.
     pub threads: u64,
     /// Live sessions held for the whole run, split evenly across
     /// threads. The full-scale benchmark uses ≥ 1M; tests scale down.
     pub sessions: u64,
     /// Traffic operations per thread after the populate phase.
     pub ops_per_thread: u64,
-    /// Shard count for the runtime.
-    pub shards: usize,
     /// Root seed; the runtime and every thread's drivers derive from it.
     pub seed: u64,
     /// Zipf exponent for the key distribution (0 = uniform; the
@@ -64,7 +64,6 @@ impl Default for SessionConfig {
             threads: 4,
             sessions: 40_000,
             ops_per_thread: 25_000,
-            shards: 4,
             seed: 0x5E55_10E5,
             zipf_exponent: 0.99,
             heap_capacity: 256 << 20,
@@ -226,7 +225,7 @@ pub fn run_session_store(mode: RandomizeMode, config: SessionConfig) -> SessionR
     let mut rt_config = RuntimeConfig::default();
     rt_config.heap.capacity = config.heap_capacity;
     rt_config.seed = config.seed;
-    let rt = ShardedRuntime::new(mode, rt_config, config.shards);
+    let rt = ShardedRuntime::new(mode, rt_config, config.threads as usize);
     let info = session_class();
 
     // Phase 1: populate. A separate scope, not a barrier, fences the
@@ -396,7 +395,6 @@ mod tests {
             threads: 4,
             sessions: 8_000,
             ops_per_thread: 5_000,
-            shards: 4,
             heap_capacity: 64 << 20,
             ..Default::default()
         }
@@ -438,7 +436,6 @@ mod tests {
             threads: 2,
             sessions: 2_000,
             ops_per_thread: 2_000,
-            shards: 2,
             heap_capacity: 32 << 20,
             ..Default::default()
         };

@@ -5,6 +5,8 @@
 #    policy, so any dependency that is not an in-tree path dependency
 #    (i.e. anything that would hit a registry) fails the check.
 # 2. Run the tier-1 gate: cargo build --release && cargo test -q.
+# 3. Run every workspace crate's tests, build the workspace binaries,
+#    then run the release smokes, the bench gate and the security gate.
 #
 # Usage: scripts/check.sh [--lint-only]
 
@@ -63,6 +65,18 @@ cargo build --release --offline
 cargo test -q --offline
 echo "ok: tier-1 green"
 
+echo "== workspace tests =="
+# Tier-1 runs only the root package; every crate's unit and property
+# suites (runtime, simheap, layout, workloads, ...) run here.
+cargo test -q --offline --workspace
+echo "ok: workspace tests green"
+
+echo "== workspace binaries (release) =="
+# The smokes and gates below run polar-bench binaries, which the
+# root-package tier-1 build does not produce.
+cargo build --release --offline --workspace --bins
+echo "ok: workspace binaries built"
+
 echo "== threaded stress smoke (release) =="
 # The sharded-runtime tests and the churn workload re-run in release
 # mode: optimized codegen changes timing enough to surface races the
@@ -105,6 +119,13 @@ echo "== session-store smoke =="
 # false-positive detections.
 ./target/release/smoke_session
 echo "ok: session smoke green"
+
+echo "== session-store full-scale example smoke =="
+# Two threads over 64Ki sessions in a 32 MiB heap: the shard count
+# follows the thread count, so both arena slices are reachable and the
+# populate phase fits.
+cargo run -q --release --offline -p polar-workloads --example session_full -- 2 65536 33554432
+echo "ok: session full-scale example smoke green"
 
 echo "== bench smoke (1 iteration) =="
 # A single-iteration pass through every benchmark: catches hot-path
