@@ -271,7 +271,7 @@ fn run_benches(quick: bool) -> Vec<Entry> {
 
     // The headline: cache-warm member access on a single hot object —
     // stateful pooled plans, then the derived stateless plan (same op,
-    // plan cached in the SiteCache/PubSlot mirror after the first
+    // plan cached in the SiteCache and slot record after the first
     // access, so warm cost must land within a few percent).
     for (label, cfg) in [
         ("polar", pooled_config()),

@@ -58,7 +58,7 @@ impl FieldKind {
     pub fn align(self) -> u32 {
         match self {
             FieldKind::Bytes(_) => 1,
-            other => other.size().min(8).max(1),
+            other => other.size().clamp(1, 8),
         }
     }
 

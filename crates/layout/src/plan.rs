@@ -83,7 +83,7 @@ impl LayoutPlan {
         size: u32,
         natural: bool,
     ) -> Self {
-        let field_aligns = field_sizes.iter().map(|&s| s.min(8).max(1).next_power_of_two().min(8)).collect();
+        let field_aligns = field_sizes.iter().map(|&s| s.clamp(1, 8).next_power_of_two().min(8)).collect();
         Self::with_aligns(class, field_offsets, field_sizes, field_aligns, dummies, size, natural)
     }
 

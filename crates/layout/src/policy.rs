@@ -3,11 +3,12 @@
 use std::fmt;
 
 /// How member order is permuted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PermuteMode {
     /// No permutation (dummies may still be inserted).
     Off,
     /// Full shuffle of the member order — POLaR's default.
+    #[default]
     Full,
     /// `randstruct`-style partial shuffle: members are packed into
     /// cache-line-sized groups in declaration order and only shuffled
@@ -16,12 +17,6 @@ pub enum PermuteMode {
         /// Cache line size in bytes (64 on the paper's testbed).
         line_size: u32,
     },
-}
-
-impl Default for PermuteMode {
-    fn default() -> Self {
-        PermuteMode::Full
-    }
 }
 
 impl fmt::Display for PermuteMode {

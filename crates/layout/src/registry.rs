@@ -28,10 +28,13 @@ const PLANS_PER_CHUNK: usize = 1024;
 /// for those objects fall back to the lock — degraded, never wrong).
 const MAX_CHUNKS: usize = 1024;
 
+/// One on-demand committed chunk of published plans.
+type Chunk = Box<[OnceLock<Arc<LayoutPlan>>]>;
+
 /// Append-only shared plan storage: `intern` under a writer mutex,
 /// `get` lock-free.
 pub struct PlanRegistry {
-    chunks: Box<[OnceLock<Box<[OnceLock<Arc<LayoutPlan>>]>>]>,
+    chunks: Box<[OnceLock<Chunk>]>,
     /// Number of ids published; `Release`-stored after the slot is
     /// filled, so `get(id < len)` always finds an initialized entry.
     len: AtomicU32,

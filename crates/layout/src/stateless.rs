@@ -337,7 +337,7 @@ impl RoundKeys {
 
     #[inline]
     fn code_from_mapping(map: u64, n: usize) -> PermCode {
-        debug_assert!(n >= 1 && n <= STATELESS_MAX_FIELDS);
+        debug_assert!((1..=STATELESS_MAX_FIELDS).contains(&n));
         // Branch-free cycle walk. A walk from any start re-enters
         // `[0, n)` within `16 - n` steps (the orbit visits each of the
         // `16 - n` out-of-domain points at most once), and an in-domain
@@ -402,7 +402,7 @@ pub fn code_space(n: usize) -> usize {
 /// miss exactly `n!` times per class lifetime, not per hash conflict.
 #[inline]
 pub fn code_rank(code: PermCode, n: usize) -> usize {
-    debug_assert!(n >= 1 && n <= STATELESS_MAX_FIELDS);
+    debug_assert!((1..=STATELESS_MAX_FIELDS).contains(&n));
     let mut rank = 0usize;
     for i in 0..n {
         let a_i = code_position(code, i);
@@ -610,8 +610,8 @@ pub fn stateless_plan_from_code(
     // `usize::MAX - j`) inserted at their derived positions.
     let mut order: [usize; STATELESS_MAX_FIELDS + STATELESS_TRAP_MAX as usize] =
         [0; STATELESS_MAX_FIELDS + STATELESS_TRAP_MAX as usize];
-    for p in 0..n {
-        order[p] = code_position(code, p);
+    for (p, slot) in order.iter_mut().enumerate().take(n) {
+        *slot = code_position(code, p);
     }
     let mut len = n;
     let mut dummies = Vec::new();
@@ -619,8 +619,7 @@ pub fn stateless_plan_from_code(
     if traps {
         let (t, at, h) = trap_spec(key, code, n);
         canary_seed = h;
-        for j in 0..t {
-            let pos = at[j];
+        for (j, &pos) in at.iter().enumerate().take(t) {
             order.copy_within(pos..len, pos + 1);
             order[pos] = usize::MAX - j;
             len += 1;

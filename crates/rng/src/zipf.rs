@@ -227,8 +227,8 @@ pub(crate) fn exp(x: f64) -> f64 {
     let k = if x >= 0.0 { (x / LN2 + 0.5) as i64 } else { (x / LN2 - 0.5) as i64 };
     // Split ln2 into a high part exact in the product and a low
     // correction, so r keeps full precision even for large k.
-    const LN2_HI: f64 = 6.931_471_803_691_238_16e-1;
-    const LN2_LO: f64 = 1.908_214_929_270_587_70e-10;
+    const LN2_HI: f64 = 6.931_471_803_691_238e-1;
+    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
     let r = (x - k as f64 * LN2_HI) - k as f64 * LN2_LO;
     let mut term = 1.0;
     let mut sum = 1.0;

@@ -1,5 +1,5 @@
-//! The object runtime: shadow-index metadata, offset cache, and the four
-//! instrumented entry points.
+//! The object runtime: per-object records in the heap's slot table, the
+//! offset cache, and the four instrumented entry points.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -12,7 +12,9 @@ use polar_layout::{
     RandomizationPolicy, RoundKeys, StatelessPolicy, StaticOlrTable,
 };
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64};
-use polar_simheap::{Addr, BlockState, HeapConfig, SimHeap, Slab};
+use polar_simheap::{
+    Addr, BlockInfo, HeapConfig, PubSnapshot, SimHeap, PUB_STATE_FREED, PUB_STATE_LIVE,
+};
 
 use crate::error::{RuntimeError, TrapReport};
 use crate::stats::RuntimeStats;
@@ -115,7 +117,7 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             heap: HeapConfig::default(),
-            seed: 0x504f_4c61_52_u64, // "POLaR"
+            seed: 0x0050_4f4c_6152_u64, // "POLaR"
             detect_class_mismatch: true,
             detect_use_after_free: true,
             check_traps_on_free: true,
@@ -139,7 +141,7 @@ pub enum ObjectState {
 }
 
 /// Per-object metadata: the paper's Figure 4 record (`base addr → class
-/// hash, layout ptr`).
+/// hash, layout ptr`), read out of the block's slot record.
 #[derive(Debug, Clone)]
 pub struct ObjectMeta {
     /// The object's class.
@@ -148,7 +150,8 @@ pub struct ObjectMeta {
     pub plan: Arc<LayoutPlan>,
     /// Lifecycle state.
     pub state: ObjectState,
-    /// Bumped every time the base address is reassigned to a new object.
+    /// The heap generation the record was written under: it advances
+    /// every time the base address is reassigned to a new allocation.
     pub generation: u64,
 }
 
@@ -156,65 +159,24 @@ pub struct ObjectMeta {
 /// reserve paths, held in a [`ShardHandle`](crate::ShardHandle)
 /// magazine until a thread pops it as an `olr_malloc` result. The
 /// object is fully armed at reserve time — block allocated, canaries
-/// seeded, shadow record and publication mirror written, state `Live` —
-/// so popping is pure bookkeeping and the capsule's address is
-/// indistinguishable from a mutex-path allocation to every reader.
+/// seeded, slot record written, state `Live` — so popping is pure
+/// bookkeeping and the capsule's address is indistinguishable from a
+/// mutex-path allocation to every reader.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Capsule {
     /// Base address of the reserved block.
     pub base: Addr,
     /// Heap slot id of the block.
     pub slot: u32,
-    /// Heap block generation at reserve time (for debugging/assertions;
-    /// the shadow record is the source of truth).
-    #[allow(dead_code)]
-    pub generation: u64,
 }
 
-/// One entry of the shadow index: the dense, slot-addressed successor of
-/// the old metadata hashtable.
-///
-/// `block_gen` snapshots the heap block's allocation generation at the
-/// moment the record was written; every probe compares it against the
-/// block's *current* generation ([`SimHeap::slot_gen`]). A record left
-/// behind when the block was recycled through a path the runtime does not
-/// instrument (`free_raw` + `malloc_raw`, the interpreter's `FreeBuf`)
-/// therefore self-invalidates — no eager `remove` call on any mutation
-/// path, and no way to serve a stale layout plan for a reused address.
-#[derive(Debug, Clone)]
-struct ShadowSlot {
-    /// The tracked object's metadata; `None` until the slot's block first
-    /// holds a randomized object. Retained after `olr_free` so dangling
-    /// accesses are recognized (use-after-free detection).
-    meta: Option<ObjectMeta>,
-    /// Copy of `meta.class.hash()`: class validation without chasing the
-    /// `Arc<ClassInfo>` pointer.
-    class_hash: ClassHash,
-    /// Copy of `meta.plan.plan_hash()`: inline-cache validation without
-    /// chasing the `Arc<LayoutPlan>` pointer.
-    plan_hash: PlanHash,
-    /// Heap allocation generation this record belongs to.
-    block_gen: u64,
-    /// Whether the Section V-B offset cache holds this object. The cache
-    /// is collapsed into the shadow slot: "warmed" means a cache entry
-    /// exists, and invalidation is a flag clear (free) or a generation
-    /// mismatch (reuse).
-    warmed: bool,
-}
+/// The part of an object's record a word cannot hold: its class and
+/// layout plan. `shadow[slot]` pairs with the heap's slot record, which
+/// carries every hash, generation and state bit; the entry is retained
+/// after `olr_free` so dangling accesses are recognized.
+type ObjectRefs = Option<(Arc<ClassInfo>, Arc<LayoutPlan>)>;
 
-impl Default for ShadowSlot {
-    fn default() -> Self {
-        ShadowSlot {
-            meta: None,
-            class_hash: ClassHash(0),
-            plan_hash: PlanHash(0),
-            block_gen: 0,
-            warmed: false,
-        }
-    }
-}
-
-/// Publication plumbing for a runtime whose heap mirrors metadata to
+/// Publication plumbing for a runtime whose heap serves its records to
 /// lock-free readers: the process-wide plan registry (plans resolvable
 /// by small integer id without a lock) plus a per-runtime cache of ids
 /// already interned, so steady-state allocation does not touch the
@@ -340,15 +302,6 @@ pub(crate) struct StagedFields {
     starts: Vec<usize>,
 }
 
-/// Outcome of a shadow-index probe.
-enum Probe {
-    /// `shadow[i]` holds a generation-current record for the address.
-    Hit(usize),
-    /// No current record: the address was never tracked, or its block was
-    /// re-allocated since the record was written (stale, self-invalidated).
-    Miss,
-}
-
 /// Per-call-site inline cache for [`ObjectRuntime::olr_getptr_ic`].
 ///
 /// The interpreter allocates one per static rewritten `getelementptr`
@@ -432,8 +385,8 @@ impl Default for SiteCache {
     }
 }
 
-/// The POLaR runtime: simulated heap + shadow-index metadata + offset
-/// cache.
+/// The POLaR runtime: simulated heap (whose slot table holds every
+/// object record) + class/plan side table + offset cache.
 #[derive(Debug)]
 pub struct ObjectRuntime {
     heap: SimHeap,
@@ -441,13 +394,9 @@ pub struct ObjectRuntime {
     engine: LayoutEngine,
     static_table: Option<StaticOlrTable>,
     interner: PlanInterner,
-    /// Dense shadow of the heap's block-slot table: `shadow[slot]` holds
-    /// the metadata for the block occupying heap slot `slot` (ids from
-    /// [`SimHeap::slot_gen`]). Lookup is an array index — no hashing on
-    /// the hot path. Chunked [`Slab`] storage: growth appends a chunk
-    /// instead of copying every record, so steady-state malloc/free does
-    /// no allocation of its own.
-    shadow: Slab<ShadowSlot>,
+    /// Class and plan of the object recorded in each heap slot, indexed
+    /// by slot id: an array index, no hashing on the hot path.
+    shadow: Vec<ObjectRefs>,
     /// Slots that ever received a record (live + retained-freed); the
     /// successor of the old hashtable's `len()`.
     meta_count: usize,
@@ -461,7 +410,7 @@ pub struct ObjectRuntime {
     rng: BufferedRng,
     stats: RuntimeStats,
     config: RuntimeConfig,
-    /// `Some` when this runtime mirrors metadata for lock-free readers
+    /// `Some` when this runtime serves its records to lock-free readers
     /// (a shard of a published [`ShardedRuntime`](crate::ShardedRuntime));
     /// `None` for plain single-threaded runtimes, whose behavior is
     /// byte-for-byte unchanged.
@@ -503,7 +452,7 @@ impl ObjectRuntime {
             engine,
             static_table,
             interner: PlanInterner::new(),
-            shadow: Slab::new(),
+            shadow: Vec::new(),
             meta_count: 0,
             pools: PlanPools::new(config.pool),
             epoch_key,
@@ -515,9 +464,9 @@ impl ObjectRuntime {
         }
     }
 
-    /// A runtime over a *published* heap: block and object metadata are
-    /// mirrored into seqlocked publication slots, and plans are interned
-    /// into `registry` so lock-free readers can resolve them by id.
+    /// A runtime over a *published* heap: its slot records are
+    /// seqlocked for lock-free readers, and plans are interned into
+    /// `registry` so those readers can resolve them by id.
     pub(crate) fn new_published(
         mode: RandomizeMode,
         config: RuntimeConfig,
@@ -568,43 +517,38 @@ impl ObjectRuntime {
         self.stats = RuntimeStats::default();
     }
 
-    /// Probe the shadow index for a generation-current record at `base`.
+    /// The generation-current object record at `base`. `None` when the
+    /// address was never tracked, or its block was re-allocated since
+    /// the record was written: a record left behind when the block was
+    /// recycled through a path the runtime does not instrument
+    /// (`free_raw` + `malloc_raw`, the interpreter's `FreeBuf`) carries
+    /// an older generation than the block and so self-invalidates — no
+    /// eager `remove` on any mutation path, and no way to serve a stale
+    /// layout plan for a reused address.
     #[inline]
-    fn probe(heap: &SimHeap, shadow: &Slab<ShadowSlot>, base: Addr) -> Probe {
-        match heap.slot_gen(base) {
-            Some((slot, gen)) => match shadow.as_slice().get(slot as usize) {
-                Some(s) if s.meta.is_some() && s.block_gen == gen => Probe::Hit(slot as usize),
-                _ => Probe::Miss,
-            },
-            None => Probe::Miss,
-        }
+    fn probe(&self, base: Addr) -> Option<PubSnapshot> {
+        self.heap.record_at(base).filter(PubSnapshot::is_current)
     }
 
-    /// Report whether the object's offset-cache entry was already warm,
-    /// warming it as a side effect. On a published heap the publication
-    /// slot is the single authority — shared with the lock-free read
-    /// path, so both paths agree on which access is the cold one —
-    /// falling back to the shadow flag for uncovered slots.
+    /// Class and plan of the object recorded in `slot`; every current
+    /// record has them.
     #[inline]
-    fn warm_probe(heap: &SimHeap, slot: &mut ShadowSlot, idx: usize) -> bool {
-        match heap.publisher() {
-            Some(p) if p.covers(idx as u32) => p.warm_probe(idx as u32),
-            _ => {
-                let was = slot.warmed;
-                slot.warmed = true;
-                was
-            }
-        }
+    fn refs(shadow: &[ObjectRefs], slot: u32) -> &(Arc<ClassInfo>, Arc<LayoutPlan>) {
+        shadow[slot as usize].as_ref().expect("a current record has its class and plan")
     }
 
     /// Metadata for the object at `base`, if tracked (and not stale: a
     /// record orphaned by recycling the block through the raw path is
     /// treated as absent).
-    pub fn object_meta(&self, base: Addr) -> Option<&ObjectMeta> {
-        match Self::probe(&self.heap, &self.shadow, base) {
-            Probe::Hit(i) => self.shadow[i].meta.as_ref(),
-            Probe::Miss => None,
-        }
+    pub fn object_meta(&self, base: Addr) -> Option<ObjectMeta> {
+        let rec = self.probe(base)?;
+        let (class, plan) = Self::refs(&self.shadow, rec.slot);
+        Some(ObjectMeta {
+            class: Arc::clone(class),
+            plan: Arc::clone(plan),
+            state: if rec.state == PUB_STATE_LIVE { ObjectState::Live } else { ObjectState::Freed },
+            generation: rec.meta_gen,
+        })
     }
 
     /// Number of metadata records currently held (live + retained-freed).
@@ -612,18 +556,21 @@ impl ObjectRuntime {
         self.meta_count
     }
 
-    /// Estimated bytes of POLaR bookkeeping: the shadow-index slot table
-    /// and the interned (deduplicated) plans, including each plan's dense
-    /// `(offset, width)` access table. This is the memory cost Table
-    /// III's dedup optimization attacks.
+    /// Estimated bytes of POLaR bookkeeping: the heap's slot records, the
+    /// class/plan side table and the interned (deduplicated) plans,
+    /// including each plan's dense `(offset, width)` access table. This
+    /// is the memory cost Table III's dedup optimization attacks. The
+    /// allocator's own unit index is not per-object metadata and is left
+    /// out (see [`SimHeap::index_bytes`]).
     pub fn estimated_metadata_bytes(&self) -> usize {
-        // The shadow slab's chunked storage is what the process actually
-        // pays. Each slot embeds the per-object record and the
-        // (collapsed) offset-cache entry.
-        let shadow_bytes = self.shadow.capacity_bytes();
+        // Committed record chunks are what the process actually pays;
+        // each record embeds the per-object hashes, generations, state
+        // and the (collapsed) offset-cache flag.
+        let record_bytes = self.heap.record_bytes()
+            + self.shadow.capacity() * std::mem::size_of::<ObjectRefs>();
         // Interned plan payload: offsets/sizes/aligns (3×u32/field), the
         // packed access table, and dummy slots.
-        let plan_bytes: usize = self.interner_plans().map(|p| plan_payload_bytes(p)).sum();
+        let plan_bytes: usize = self.interner.iter().map(|p| plan_payload_bytes(p)).sum();
         // Static-OLR's per-class table was previously uncounted (the
         // "256 B" undercount): its plans are metadata like any other.
         let static_bytes: usize = self
@@ -637,11 +584,7 @@ impl ObjectRuntime {
         // block, and the per-class derived-plan caches (their plans are
         // interner-owned and counted above).
         let stateless_bytes = self.stateless.metadata_bytes();
-        shadow_bytes + plan_bytes + static_bytes + pool_bytes + stateless_bytes
-    }
-
-    fn interner_plans(&self) -> impl Iterator<Item = &Arc<LayoutPlan>> {
-        self.interner.iter()
+        record_bytes + plan_bytes + static_bytes + pool_bytes + stateless_bytes
     }
 
     /// The layout a *compile-time* site bakes in for `info`: the natural
@@ -710,11 +653,10 @@ impl ObjectRuntime {
         info: &Arc<ClassInfo>,
         plan: Arc<LayoutPlan>,
     ) -> Result<Capsule, RuntimeError> {
-        let base = self.heap.malloc(plan.size().max(1) as usize)?;
-        let (slot, generation) =
-            self.heap.slot_gen(base).expect("base is a block the heap just returned");
-        // One writer window spans canary seeding and the metadata
-        // mirror: a lock-free reader either sees the slot's previous
+        let BlockInfo { base, slot, generation, .. } =
+            self.heap.malloc_block(plan.size().max(1) as usize)?;
+        // One writer window spans canary seeding and the record write:
+        // a lock-free reader either sees the slot's previous
         // record (whose meta generation no longer matches) or the
         // complete new one — never a half-recorded object.
         let win = self.heap.pub_open(slot);
@@ -725,7 +667,7 @@ impl ObjectRuntime {
         }
         self.heap.pub_close(slot, win);
         seeded?;
-        Ok(Capsule { base, slot, generation })
+        Ok(Capsule { base, slot })
     }
 
     /// The SPAM-style allocation: malloc first (the size bound is
@@ -758,9 +700,7 @@ impl ObjectRuntime {
         let ci = self.stateless_cache_idx(info);
         let cache = &self.stateless.caches[ci];
         let (bound, n) = (cache.bound.max(1) as usize, usize::from(cache.fields));
-        let base = self.heap.malloc(bound)?;
-        let (slot, generation) =
-            self.heap.slot_gen(base).expect("base is a block the heap just returned");
+        let BlockInfo { base, slot, generation, .. } = self.heap.malloc_block(bound)?;
         let st = &mut self.stateless;
         let code = st.block.code_for(&st.keys, slot, generation, n);
         let way = st.caches[ci].way(code);
@@ -784,7 +724,7 @@ impl ObjectRuntime {
             }
         };
         // One writer window spans canary seeding (virtual traps carry
-        // canaries like any stored dummy) and the metadata mirror.
+        // canaries like any stored dummy) and the record write.
         let win = self.heap.pub_open(slot);
         let seeded = self.seed_canaries(base, &plan);
         if seeded.is_ok() {
@@ -792,7 +732,7 @@ impl ObjectRuntime {
         }
         self.heap.pub_close(slot, win);
         seeded?;
-        Ok(Capsule { base, slot, generation })
+        Ok(Capsule { base, slot })
     }
 
     /// Index of (creating on first sight) the derived-plan cache for
@@ -822,7 +762,7 @@ impl ObjectRuntime {
         idx
     }
 
-    /// Write (or overwrite) the shadow record for the block at `base`,
+    /// Write (or overwrite) the object record for the block at `base`,
     /// with the registry id already resolved (the stateless fast path
     /// caches ids next to plans, so its steady state skips even the
     /// per-runtime id map). Installing a record stamps the block's
@@ -852,20 +792,14 @@ impl ObjectRuntime {
         plan: Arc<LayoutPlan>,
         plan_id: Option<u32>,
     ) {
-        let (class_hash, plan_hash) = (class.hash(), plan.plan_hash());
-        let entry = self.shadow.ensure(slot as usize);
-        if entry.meta.is_none() {
-            self.meta_count += 1;
+        // Callers hold the slot's writer window open across this.
+        self.heap.record_object(slot, class.hash().0, plan.plan_hash().0, plan_id, block_gen);
+        let i = slot as usize;
+        if self.shadow.len() <= i {
+            self.shadow.resize(i + 1, None);
         }
-        let generation = entry.meta.as_ref().map_or(0, |m| m.generation) + 1;
-        entry.class_hash = class_hash;
-        entry.plan_hash = plan_hash;
-        entry.block_gen = block_gen;
-        entry.warmed = false;
-        entry.meta = Some(ObjectMeta { class, plan, state: ObjectState::Live, generation });
-        if let Some(p) = self.heap.publisher() {
-            // Callers hold the slot's writer window open across this.
-            p.mirror_record(slot, class_hash.0, plan_hash.0, plan_id, block_gen);
+        if self.shadow[i].replace((class, plan)).is_none() {
+            self.meta_count += 1;
         }
     }
 
@@ -891,7 +825,7 @@ impl ObjectRuntime {
     /// epoch key, or another thread's engine draw — can carry different
     /// trap values than the copy the registry serves to lock-free
     /// readers. Seeding and recording the canonical plan keeps the armed
-    /// bytes, the shadow record and the published id's resolution in
+    /// bytes, the object record and the published id's resolution in
     /// exact agreement; the lock-free free path's trap sweep depends on
     /// that. Unpublished runtimes (and a full registry) keep the local
     /// plan.
@@ -933,51 +867,34 @@ impl ObjectRuntime {
     /// object is *not* freed in that case — the program should abort), and
     /// heap errors for invalid raw frees.
     pub fn olr_free(&mut self, base: Addr) -> Result<(), RuntimeError> {
-        let idx = match Self::probe(&self.heap, &self.shadow, base) {
-            Probe::Hit(i) => i,
-            Probe::Miss => {
-                // Untracked pointer (or a record self-invalidated by raw
-                // reuse): behave like plain free().
-                self.heap.free(base)?;
-                return Ok(());
-            }
+        let Some(rec) = self.probe(base) else {
+            // Untracked pointer (or a record self-invalidated by raw
+            // reuse): behave like plain free().
+            self.heap.free(base)?;
+            return Ok(());
         };
-        if self.shadow[idx].meta.as_ref().expect("probe hit carries metadata").state
-            == ObjectState::Freed
-        {
+        if rec.state == PUB_STATE_FREED {
             self.stats.double_free_detected += 1;
             return Err(RuntimeError::DoubleFree(base));
         }
         if self.config.check_traps_on_free {
             self.stats.trap_scans += 1;
-            let reports = self.scan_traps_at(idx, base);
+            let reports = self.scan_traps_at(rec.slot, base);
             if let Some(report) = reports.first() {
                 self.stats.traps_triggered += reports.len() as u64;
                 self.stats.dummy_touches += reports.len() as u64;
                 return Err(RuntimeError::TrapTriggered(*report));
             }
         }
-        let slot = &mut self.shadow[idx];
-        slot.meta.as_mut().expect("probe hit carries metadata").state = ObjectState::Freed;
         // The offset-cache entry dies with the object.
-        slot.warmed = false;
-        // Mirror the state flip before releasing the block, inside its
-        // own writer window: a lock-free reader sees LIVE (old record)
-        // or FREED, never the torn in-between.
-        let win = self.heap.pub_open(idx as u32);
-        if let Some(p) = self.heap.publisher() {
-            p.mirror_free(idx as u32);
-        }
-        self.heap.pub_close(idx as u32, win);
-        self.heap.free(base)?;
+        self.heap.free_object(rec.slot)?;
         self.stats.frees += 1;
         Ok(())
     }
 
-    /// Complete the retirement of a reserved or remote-freed slot:
-    /// flip its (generation-current) shadow record to `Freed`, mirror
-    /// the flip, and release the heap block. Counts **nothing** — the
-    /// callers decide what event this was:
+    /// Complete the retirement of a reserved or remote-freed slot: flip
+    /// its object record to `Freed` and release the heap block. Counts
+    /// **nothing** — the callers decide what event this was:
     ///
     /// * the shard draining its remote-free stack (the block's free was
     ///   already counted by the lock-free `fast_frees` claim), and
@@ -990,37 +907,18 @@ impl ObjectRuntime {
     /// through another path) or the release failed, both of which the
     /// caller treats as "nothing left to do".
     pub(crate) fn retire_reserved(&mut self, slot: u32) -> bool {
-        let Some(block) = self.heap.block_by_slot(slot) else { return false };
-        if block.state == BlockState::Freed {
-            return false;
-        }
-        if let Some(entry) = self.shadow.get_mut(slot as usize) {
-            if entry.block_gen == block.generation {
-                if let Some(meta) = entry.meta.as_mut() {
-                    meta.state = ObjectState::Freed;
-                }
-                // The offset-cache entry dies with the object.
-                entry.warmed = false;
-            }
-        }
-        // Mirror the flip inside a writer window, as `olr_free` does;
-        // for a drained remote free the publication slot is already
-        // FREED (the claim CAS flipped it) and the mirror is idempotent.
-        let win = self.heap.pub_open(slot);
-        if let Some(p) = self.heap.publisher() {
-            p.mirror_free(slot);
-        }
-        self.heap.pub_close(slot, win);
-        self.heap.free(block.base).is_ok()
+        // For a drained remote free the record is already FREED (the
+        // claim CAS flipped it) and the flip is idempotent.
+        self.heap.free_object(slot).is_ok()
     }
 
     /// Instrumented member access (the rewritten `getelementptr`): resolve
     /// field `field` of the object at `base`, which the access site
     /// believes to be of class `expected`.
     ///
-    /// The shadow index locates the metadata in O(1); the offset-lookup
-    /// cache (a warmed flag on the shadow slot) short-circuits repeat
-    /// accesses; use-after-free and class mismatch are detected.
+    /// The slot table locates the record in O(1); the offset-lookup
+    /// cache (a warm flag in the record) short-circuits repeat accesses;
+    /// use-after-free and class mismatch are detected.
     ///
     /// # Errors
     ///
@@ -1033,7 +931,7 @@ impl ObjectRuntime {
         expected: ClassHash,
         field: usize,
     ) -> Result<Addr, RuntimeError> {
-        self.getptr_core(base, expected, field, None).map(|(addr, _)| addr)
+        self.getptr_core(base, expected, field, None).map(|(addr, ..)| addr)
     }
 
     /// [`ObjectRuntime::olr_getptr`] with a per-call-site inline cache.
@@ -1055,82 +953,70 @@ impl ObjectRuntime {
         field: usize,
         ic: &mut SiteCache,
     ) -> Result<Addr, RuntimeError> {
-        self.getptr_core(base, expected, field, Some(ic)).map(|(addr, _)| addr)
+        self.getptr_core(base, expected, field, Some(ic)).map(|(addr, ..)| addr)
     }
 
-    /// Shared body of the getptr family; returns the resolved address and
-    /// the field's access width so `read_field`/`write_field` need no
-    /// second metadata lookup.
+    /// Shared body of the getptr family; returns the resolved address,
+    /// the field's access width and the object's slot so
+    /// `read_field`/`write_field` need no second metadata lookup.
+    #[inline(always)]
     fn getptr_core(
         &mut self,
         base: Addr,
         expected: ClassHash,
         field: usize,
-        mut ic: Option<&mut SiteCache>,
-    ) -> Result<(Addr, usize), RuntimeError> {
+        ic: Option<&mut SiteCache>,
+    ) -> Result<(Addr, usize, u32), RuntimeError> {
         self.stats.member_accesses += 1;
-        let idx = match Self::probe(&self.heap, &self.shadow, base) {
-            Probe::Hit(i) => {
-                self.stats.shadow_hits += 1;
-                i
+        let Some(rec) = self.probe(base) else {
+            self.stats.shadow_misses += 1;
+            if ic.is_some() {
+                self.stats.site_ic_misses += 1;
             }
-            Probe::Miss => {
-                self.stats.shadow_misses += 1;
-                if ic.is_some() {
-                    self.stats.site_ic_misses += 1;
-                }
-                return Err(RuntimeError::UnknownObject(base));
-            }
+            return Err(RuntimeError::UnknownObject(base));
         };
-        let slot = &mut self.shadow.as_mut_slice()[idx];
-        let state = slot.meta.as_ref().expect("probe hit carries metadata").state;
+        self.stats.shadow_hits += 1;
+        let live = rec.state == PUB_STATE_LIVE;
+        let (actual, plan_hash) = (ClassHash(rec.class_hash), PlanHash(rec.plan_hash));
 
-        if self.config.offset_cache && state == ObjectState::Live {
-            if let Some(site) = ic.as_deref_mut() {
-                if site.filled
-                    && slot.plan_hash == site.plan
-                    && slot.class_hash == site.class
-                    && site.class == expected
-                {
-                    self.stats.site_ic_hits += 1;
-                    // Keep the Section V-B counter's semantics: the first
-                    // access warms the per-object entry, later ones hit.
-                    if Self::warm_probe(&self.heap, slot, idx) {
-                        self.stats.cache_hits += 1;
-                    }
-                    return Ok((base.offset(site.offset as u64), site.width as usize));
+        if self.config.offset_cache && live && actual == expected {
+            let hit = ic.as_deref().and_then(|site| site.lookup(expected, plan_hash));
+            if let Some((offset, width)) = hit {
+                self.stats.site_ic_hits += 1;
+                // Keep the Section V-B counter's semantics: the first
+                // access warms the per-object entry, later ones hit.
+                if rec.warmed || self.heap.table().warm_probe(rec.slot) {
+                    self.stats.cache_hits += 1;
                 }
+                return Ok((base.offset(u64::from(offset)), width as usize, rec.slot));
             }
         }
         if ic.is_some() {
             self.stats.site_ic_misses += 1;
         }
 
-        if state == ObjectState::Freed && self.config.detect_use_after_free {
+        if !live && self.config.detect_use_after_free {
             self.stats.uaf_detected += 1;
             return Err(RuntimeError::UseAfterFree { addr: base });
         }
         // With UAF detection disabled a freed object's access falls
         // through to the retained plan, exactly like an uninstrumented
         // dangling dereference.
-        if self.config.offset_cache && state == ObjectState::Live
-            && Self::warm_probe(&self.heap, slot, idx)
+        if self.config.offset_cache
+            && live
+            && (rec.warmed || self.heap.table().warm_probe(rec.slot))
         {
             self.stats.cache_hits += 1;
         }
-        let actual = slot.class_hash;
-        let plan_hash = slot.plan_hash;
-
-        let slot = &self.shadow.as_slice()[idx];
-        let meta = slot.meta.as_ref().expect("probe hit carries metadata");
+        let plan = &Self::refs(&self.shadow, rec.slot).1;
         let (addr, access) =
-            Self::resolve(&self.config, &mut self.stats, base, actual, &meta.plan, expected, field)?;
+            Self::resolve(&self.config, &mut self.stats, base, actual, plan, expected, field)?;
         if let Some(site) = ic {
-            if self.config.offset_cache && state == ObjectState::Live && actual == expected {
+            if self.config.offset_cache && live && actual == expected {
                 site.pin(expected, plan_hash, access.offset, access.width);
             }
         }
-        Ok((addr, access.width as usize))
+        Ok((addr, access.width as usize, rec.slot))
     }
 
     fn resolve(
@@ -1196,21 +1082,18 @@ impl ObjectRuntime {
         site_class: &Arc<ClassInfo>,
     ) -> Result<(Arc<ClassInfo>, Arc<LayoutPlan>), RuntimeError> {
         self.stats.memcpys += 1;
-        match Self::probe(&self.heap, &self.shadow, src) {
-            Probe::Hit(i) => {
-                let src_meta =
-                    self.shadow[i].meta.as_ref().expect("probe hit carries metadata");
-                if src_meta.state == ObjectState::Freed && self.config.detect_use_after_free {
-                    self.stats.uaf_detected += 1;
-                    return Err(RuntimeError::UseAfterFree { addr: src });
-                }
-                Ok((Arc::clone(&src_meta.class), Arc::clone(&src_meta.plan)))
-            }
-            Probe::Miss => Ok((
+        let Some(rec) = self.probe(src) else {
+            return Ok((
                 Arc::clone(site_class),
                 self.interner.intern(LayoutPlan::natural_for(site_class)),
-            )),
+            ));
+        };
+        if rec.state == PUB_STATE_FREED && self.config.detect_use_after_free {
+            self.stats.uaf_detected += 1;
+            return Err(RuntimeError::UseAfterFree { addr: src });
         }
+        let (class, plan) = Self::refs(&self.shadow, rec.slot);
+        Ok((Arc::clone(class), Arc::clone(plan)))
     }
 
     /// Read every source field (laid out by `src_plan`) into one packed
@@ -1262,14 +1145,10 @@ impl ObjectRuntime {
             // Reuse live same-class metadata at dst when present (and
             // generation-current — a stale record never donates a plan);
             // otherwise mint a fresh randomized plan for the duplicate.
-            let reusable = match Self::probe(&self.heap, &self.shadow, dst) {
-                Probe::Hit(i) => {
-                    let m = self.shadow[i].meta.as_ref().expect("probe hit carries metadata");
-                    (m.state == ObjectState::Live && m.class.hash() == info.hash())
-                        .then(|| Arc::clone(&m.plan))
-                }
-                Probe::Miss => None,
-            };
+            let reusable = self
+                .probe(dst)
+                .filter(|r| r.state == PUB_STATE_LIVE && r.class_hash == info.hash().0)
+                .map(|r| Arc::clone(&Self::refs(&self.shadow, r.slot).1));
             match reusable {
                 Some(plan) => plan,
                 None => self.plan_fitting(&info, dst_limit)?,
@@ -1280,8 +1159,8 @@ impl ObjectRuntime {
 
         // Field-by-field translation between the two plans, all reads
         // already behind us in the scratch buffer. One writer window
-        // spans the field stores, canaries and the metadata mirror, so
-        // a lock-free reader never observes a half-installed copy.
+        // spans the field stores, canaries and the record write, so a
+        // lock-free reader never observes a half-installed copy.
         let dst_slot = self.heap.slot_gen(dst).map(|(s, _)| s);
         let win = dst_slot.and_then(|s| self.heap.pub_open(s));
         let installed = (|| {
@@ -1335,7 +1214,7 @@ impl ObjectRuntime {
         expected: ClassHash,
         field: usize,
     ) -> Result<u64, RuntimeError> {
-        let (addr, width) = self.getptr_core(base, expected, field, None)?;
+        let (addr, width, _) = self.getptr_core(base, expected, field, None)?;
         Ok(self.heap.read_uint(addr, width)?)
     }
 
@@ -1351,16 +1230,13 @@ impl ObjectRuntime {
         field: usize,
         value: u64,
     ) -> Result<(), RuntimeError> {
-        let (addr, width) = self.getptr_core(base, expected, field, None)?;
+        let (addr, width, slot) = self.getptr_core(base, expected, field, None)?;
         // Bump the object's seqlock around the store so a concurrent
         // lock-free `read_field` retries instead of returning a torn
         // mix of old and new bytes.
-        let slot = self.heap.slot_gen(base).map(|(s, _)| s);
-        let win = slot.and_then(|s| self.heap.pub_open(s));
+        let win = self.heap.pub_open(slot);
         let wrote = self.heap.write_uint(addr, value, width);
-        if let Some(slot) = slot {
-            self.heap.pub_close(slot, win);
-        }
+        self.heap.pub_close(slot, win);
         Ok(wrote?)
     }
 
@@ -1379,19 +1255,16 @@ impl ObjectRuntime {
     }
 
     fn scan_traps(&self, base: Addr) -> Result<Vec<TrapReport>, RuntimeError> {
-        let idx = match Self::probe(&self.heap, &self.shadow, base) {
-            Probe::Hit(i) => i,
-            Probe::Miss => return Err(RuntimeError::UnknownObject(base)),
-        };
-        Ok(self.scan_traps_at(idx, base))
+        let rec = self.probe(base).ok_or(RuntimeError::UnknownObject(base))?;
+        Ok(self.scan_traps_at(rec.slot, base))
     }
 
-    /// [`ObjectRuntime::scan_traps`] for an already-probed shadow index
-    /// (the free path resolved it moments earlier — no second probe).
-    fn scan_traps_at(&self, idx: usize, base: Addr) -> Vec<TrapReport> {
-        let meta = self.shadow[idx].meta.as_ref().expect("probe hit carries metadata");
+    /// [`ObjectRuntime::scan_traps`] for an already-probed slot (the free
+    /// path resolved it moments earlier — no second probe).
+    fn scan_traps_at(&self, slot: u32, base: Addr) -> Vec<TrapReport> {
+        let plan = &Self::refs(&self.shadow, slot).1;
         let mut reports = Vec::new();
-        for dummy in meta.plan.dummies() {
+        for dummy in plan.dummies() {
             if let Some(expected) = dummy.canary {
                 let width = canary_width(dummy.size);
                 let found = self
@@ -1445,17 +1318,10 @@ impl ObjectRuntime {
     /// live tracked object's canary-carrying dummy, if any.
     fn probe_trap_overlap(&self, addr: Addr, width: usize) -> Option<TrapReport> {
         let block = self.heap.block_containing(addr)?;
-        let idx = match Self::probe(&self.heap, &self.shadow, block.base) {
-            Probe::Hit(i) => i,
-            Probe::Miss => return None,
-        };
-        let meta = self.shadow[idx].meta.as_ref().expect("probe hit carries metadata");
-        if meta.state != ObjectState::Live {
-            return None;
-        }
+        let rec = self.probe(block.base).filter(|r| r.state == PUB_STATE_LIVE)?;
         let rel = addr.0 - block.base.0;
         let end = rel + width as u64;
-        for dummy in meta.plan.dummies() {
+        for dummy in Self::refs(&self.shadow, rec.slot).1.dummies() {
             let Some(canary) = dummy.canary else { continue };
             let (lo, hi) = (u64::from(dummy.offset), u64::from(dummy.offset + dummy.size));
             if rel < hi && lo < end {
@@ -1657,8 +1523,7 @@ mod tests {
 
     #[test]
     fn type_confusion_without_detection_resolves_through_actual_plan() {
-        let mut config = RuntimeConfig::default();
-        config.detect_class_mismatch = false;
+        let config = RuntimeConfig { detect_class_mismatch: false, ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let (a, b) = confusable();
         let obj_b = rt.olr_malloc(&b).unwrap();
@@ -1717,8 +1582,7 @@ mod tests {
 
     #[test]
     fn memcpy_without_rerandomization_shares_the_plan() {
-        let mut config = RuntimeConfig::default();
-        config.memcpy_rerandomize = false;
+        let config = RuntimeConfig { memcpy_rerandomize: false, ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let info = people();
         let src = rt.olr_malloc(&info).unwrap();
@@ -1824,8 +1688,7 @@ mod tests {
 
     #[test]
     fn disabling_the_cache_forces_metadata_lookups() {
-        let mut config = RuntimeConfig::default();
-        config.offset_cache = false;
+        let config = RuntimeConfig { offset_cache: false, ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let info = people();
         let obj = rt.olr_malloc(&info).unwrap();
@@ -1963,7 +1826,7 @@ mod tests {
         let obj = rt.olr_malloc(&info).unwrap();
         // Re-request the block's own size: the stateless path mallocs
         // the identity-independent bound, which can exceed plan.size().
-        let size = rt.heap().block_at(obj).unwrap().requested;
+        let size = rt.heap().block_at(obj).unwrap().size;
         rt.free_raw(obj).unwrap();
         let buf = rt.malloc_raw(size).unwrap();
         assert_eq!(obj, buf, "allocator should reuse the slot");
@@ -2012,8 +1875,7 @@ mod tests {
 
     #[test]
     fn site_inline_cache_respects_disabled_offset_cache() {
-        let mut config = RuntimeConfig::default();
-        config.offset_cache = false;
+        let config = RuntimeConfig { offset_cache: false, ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let info = people();
         let obj = rt.olr_malloc(&info).unwrap();
@@ -2101,8 +1963,8 @@ mod tests {
     fn pool_counters_populate_under_the_default_policy() {
         // The pooled path now serves classes the stateless default does
         // not claim; route the small test class to it explicitly.
-        let mut config = RuntimeConfig::default();
-        config.stateless = StatelessPolicy::off();
+        let config =
+            RuntimeConfig { stateless: StatelessPolicy::off(), ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let info = people();
         for _ in 0..200 {
@@ -2118,8 +1980,7 @@ mod tests {
 
     #[test]
     fn disabling_the_pool_restores_per_allocation_generation() {
-        let mut config = RuntimeConfig::default();
-        config.pool = PoolPolicy::disabled();
+        let config = RuntimeConfig { pool: PoolPolicy::disabled(), ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let info = people();
         let mut offsets = HashSet::new();
@@ -2166,8 +2027,8 @@ mod tests {
         let rederived = polar_layout::stateless_trapped_plan(&info, rt.epoch_key, generation, slot);
         assert_eq!(meta.plan.plan_hash(), rederived.plan_hash());
         // And with traps off, the permute-only reference matches.
-        let mut config = RuntimeConfig::default();
-        config.stateless = StatelessPolicy::permute_only();
+        let config =
+            RuntimeConfig { stateless: StatelessPolicy::permute_only(), ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let obj = rt.olr_malloc(&info).unwrap();
         let (slot, generation) = rt.heap().slot_gen(obj).unwrap();
@@ -2194,8 +2055,7 @@ mod tests {
         let w = plan.field_size(1) as usize;
         assert_eq!(rt.probe_read_uint(obj.offset(off), w).unwrap(), 77);
         // With detection off the same probe reads the canary bytes raw.
-        let mut config = RuntimeConfig::default();
-        config.detect_probe_traps = false;
+        let config = RuntimeConfig { detect_probe_traps: false, ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let obj = rt.olr_malloc(&info).unwrap();
         let plan = Arc::clone(&rt.object_meta(obj).unwrap().plan);
@@ -2249,8 +2109,8 @@ mod tests {
             with_plan > baseline + plan_payload_bytes(&st.compile_time_plan(&info)) - 1,
             "static table plans must be counted: {baseline} -> {with_plan}"
         );
-        let mut config = RuntimeConfig::default();
-        config.stateless = StatelessPolicy::off();
+        let config =
+            RuntimeConfig { stateless: StatelessPolicy::off(), ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         rt.olr_malloc(&info).unwrap();
         assert!(rt.pools.metadata_bytes() > 0);

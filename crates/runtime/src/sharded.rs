@@ -26,8 +26,9 @@
 //!   counters read under the shard lock.
 //! * **Lock-free reads.** Every shard's heap is *published*
 //!   ([`SimHeap::new_published`](polar_simheap::SimHeap::new_published)):
-//!   block identity and object metadata are mirrored into per-slot
-//!   seqlocked publication slots, plans are interned into a shared
+//!   its slot table — one seqlocked record per block carrying block
+//!   identity and object metadata — is readable without the shard's
+//!   lock, plans are interned into a shared
 //!   [`PlanRegistry`] resolvable by integer id, and
 //!   [`ShardedRuntime::olr_getptr`], [`ShardedRuntime::olr_getptr_ic`]
 //!   and [`ShardedRuntime::read_field`] first attempt the access with
@@ -36,7 +37,7 @@
 //!   registry plan, and — for `read_field` — load the value from the
 //!   shared arena and re-check the sequence. Any condition the fast
 //!   path cannot classify (a miss, a detection, a contended writer
-//!   window after a few retries, an unpublished slot) falls back to the
+//!   window after a few retries, an unregistered plan) falls back to the
 //!   shard mutex, whose path does all of its own counting and error
 //!   construction; the fast path therefore only ever *adds* the
 //!   success-shape counters, keeping the two paths' statistics
@@ -52,9 +53,9 @@
 //!   allocates in `PerAllocation` mode. The matching free
 //!   fast path validates the published snapshot (and scans traps
 //!   through the shared arena when configured), claims the slot with a
-//!   generation-exact CAS on the publication's packed life word, and
+//!   generation-exact CAS on the slot record's packed life word, and
 //!   pushes the slot onto the owning shard's **MPSC remote-free stack**
-//!   (a Treiber stack threaded through the publication slots). Every
+//!   (a Treiber stack threaded through the slot records). Every
 //!   shard-lock acquisition drains that shard's stack first, so mutex
 //!   paths always observe completed frees — double frees and dangling
 //!   accesses keep being classified by the one locked path that owns
@@ -74,9 +75,7 @@ use polar_layout::{
     RandomizationPolicy,
 };
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64, Xoshiro256StarStar};
-use polar_simheap::{
-    Addr, HeapError, HeapPublisher, SnapshotOutcome, PUB_STATE_FREED, PUB_STATE_LIVE,
-};
+use polar_simheap::{Addr, HeapError, SlotTable, SnapshotOutcome, PUB_STATE_FREED, PUB_STATE_LIVE};
 
 use crate::error::RuntimeError;
 use crate::runtime::{
@@ -141,10 +140,10 @@ impl FastCounters {
     fn fold_into(&self, total: &mut RuntimeStats) {
         let c: Vec<u64> = self.0.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         let hits: u64 = c[..6].iter().sum();
-        // Every fast success is a member access served from the
-        // (published mirror of the) shadow index; warm shapes are
-        // offset-cache hits and the ic shapes feed the site-cache
-        // columns — the same accounting getptr_core does under the lock.
+        // Every fast success is a member access served from the slot
+        // table; warm shapes are offset-cache hits and the ic shapes feed
+        // the site-cache columns — the same accounting getptr_core does
+        // under the lock.
         total.member_accesses += hits;
         total.shadow_hits += hits;
         total.cache_hits += c[SHAPE_PLAIN_COLD + 1] + c[SHAPE_IC_HIT_COLD + 1] + c[SHAPE_IC_MISS_COLD + 1];
@@ -157,8 +156,8 @@ impl FastCounters {
 
 /// Head of one shard's MPSC remote-free stack, on its own cache line so
 /// concurrent pushers to different shards do not false-share. The value
-/// is `slot id + 1` (`0` = empty); links are threaded through the
-/// publication slots' `remote_next` words, so the stack costs no
+/// is `slot id + 1` (`0` = empty); links are threaded through the slot
+/// records' link words, so the stack costs no
 /// allocation and no extra table. Pushers are the lock-free free path
 /// (any thread); the single consumer is whoever next takes the shard's
 /// mutex ([`ShardedRuntime::drain_remote`] runs at every acquisition).
@@ -201,7 +200,7 @@ enum FastAttempt {
     /// flag at snapshot time (a `true` skips the commit's probe-and-set).
     Hit { addr: Addr, width: usize, slot: u32, seq: u64, shape: usize, warmed: bool },
     /// A condition the fast path does not classify (miss, detection,
-    /// unpublished slot): take the mutex, which owns those outcomes.
+    /// unregistered plan): take the mutex, which owns those outcomes.
     Fallback,
     /// A writer window overlapped the snapshot: worth retrying.
     Contended,
@@ -216,11 +215,11 @@ enum FastAttempt {
 #[derive(Debug)]
 pub struct ShardedRuntime {
     shards: Vec<Mutex<ObjectRuntime>>,
-    /// Each shard's publication side-table (same index as `shards`),
-    /// readable without the shard's mutex.
-    pubs: Vec<Arc<HeapPublisher>>,
+    /// Each shard heap's slot table (same index as `shards`), readable
+    /// without the shard's mutex.
+    tables: Vec<Arc<SlotTable>>,
     /// Shared plan storage for published metadata: readers resolve the
-    /// small ids carried by publication slots here, lock-free.
+    /// small ids carried by slot records here, lock-free.
     registry: Arc<PlanRegistry>,
     /// Per-shard lock-free read counters (same index as `shards`).
     fast: Vec<FastCounters>,
@@ -266,7 +265,7 @@ impl ShardedRuntime {
             shards
         );
         let registry = Arc::new(PlanRegistry::new());
-        let mut pubs = Vec::with_capacity(shards);
+        let mut tables = Vec::with_capacity(shards);
         let shards: Vec<Mutex<ObjectRuntime>> = (0..shards)
             .map(|i| {
                 let mut shard_config = config;
@@ -289,9 +288,7 @@ impl ShardedRuntime {
                 }
                 let rt =
                     ObjectRuntime::new_published(mode, shard_config, Arc::clone(&registry));
-                pubs.push(Arc::clone(
-                    rt.heap().publisher().expect("published heaps carry a publisher"),
-                ));
+                tables.push(Arc::clone(rt.heap().table()));
                 Mutex::new(rt)
             })
             .collect();
@@ -299,7 +296,7 @@ impl ShardedRuntime {
         let remote = (0..shards.len()).map(|_| RemoteHead::default()).collect();
         ShardedRuntime {
             shards,
-            pubs,
+            tables,
             registry,
             fast,
             remote,
@@ -397,7 +394,7 @@ impl ShardedRuntime {
 
     /// Push `slot` onto shard `shard`'s remote-free stack (lock-free,
     /// multi-producer). The caller must have claimed the slot via
-    /// [`HeapPublisher::claim_free`] — each claimed slot is pushed
+    /// [`SlotTable::claim_free`] — each claimed slot is pushed
     /// exactly once, so links cannot be clobbered concurrently. The
     /// release CAS publishes the link store; the consumer's acquire
     /// swap pairs with it.
@@ -405,7 +402,7 @@ impl ShardedRuntime {
         let head = &self.remote[shard].0;
         let mut cur = head.load(Ordering::Acquire);
         loop {
-            self.pubs[shard].set_remote_next(slot, cur);
+            self.tables[shard].set_remote_next(slot, cur);
             match head.compare_exchange_weak(cur, slot + 1, Ordering::Release, Ordering::Acquire)
             {
                 Ok(_) => return,
@@ -415,12 +412,12 @@ impl ShardedRuntime {
     }
 
     /// Drain shard `i`'s remote-free stack while holding its lock:
-    /// retire each claimed slot (flip the shadow record, mirror, release
-    /// the heap block). The block's free was already *counted* by the
+    /// retire each claimed slot (flip its record, release the heap
+    /// block). The block's free was already *counted* by the
     /// claiming thread (`fast_frees`); the drain only completes it and
     /// counts `remote_drained`.
     ///
-    /// Retirement is gated on the publication slot still reading
+    /// Retirement is gated on the slot record still reading
     /// `FREED` with matching generations: a slot whose block raced
     /// through another completion path (a concurrent double free the
     /// program itself issued) or was recycled raw since the claim is
@@ -434,10 +431,10 @@ impl ShardedRuntime {
         let mut drained = 0u64;
         while cur != 0 {
             let slot = cur - 1;
-            cur = self.pubs[i].remote_next(slot);
+            cur = self.tables[i].remote_next(slot);
             // Writers are excluded by the lock we hold and claims are
             // single-shot, so this snapshot is stable.
-            if let SnapshotOutcome::Snap(s) = self.pubs[i].try_snapshot_slot(slot) {
+            if let SnapshotOutcome::Snap(s) = self.tables[i].try_snapshot_slot(slot) {
                 if s.state == PUB_STATE_FREED && s.meta_gen == s.heap_gen {
                     rt.retire_reserved(slot);
                 }
@@ -483,13 +480,13 @@ impl ShardedRuntime {
         let hinted = ic
             .as_deref()
             .and_then(|site| site.slot_hint(base.0))
-            .and_then(|slot| match self.pubs[shard].try_snapshot_slot(slot) {
+            .and_then(|slot| match self.tables[shard].try_snapshot_slot(slot) {
                 SnapshotOutcome::Snap(s) if s.base == base.0 => Some(s),
                 _ => None,
             });
         let snap = match hinted {
             Some(s) => s,
-            None => match self.pubs[shard].try_snapshot(base.0) {
+            None => match self.tables[shard].try_snapshot(base.0) {
                 SnapshotOutcome::Snap(s) => s,
                 SnapshotOutcome::Untracked => return FastAttempt::Fallback,
                 SnapshotOutcome::Unstable => return FastAttempt::Contended,
@@ -554,7 +551,7 @@ impl ShardedRuntime {
     /// that already saw the flag set skips the probe entirely.
     #[inline]
     fn fast_idx(&self, shard: usize, slot: u32, shape: usize, warmed: bool) -> usize {
-        let warm = self.config.offset_cache && (warmed || self.pubs[shard].warm_probe(slot));
+        let warm = self.config.offset_cache && (warmed || self.tables[shard].warm_probe(slot));
         shape + usize::from(warm)
     }
 
@@ -607,7 +604,7 @@ impl ShardedRuntime {
         for _ in 0..FAST_RETRIES {
             match self.fast_attempt(shard, base, expected, field, None) {
                 FastAttempt::Hit { addr, width, slot, seq, shape, warmed } => {
-                    let p = &self.pubs[shard];
+                    let p = &self.tables[shard];
                     let Some(value) = p.read_uint(addr.0, width) else { break };
                     if !p.recheck(slot, seq) {
                         std::hint::spin_loop();
@@ -659,10 +656,10 @@ impl ShardedRuntime {
     /// (the mutex rescans, counts and constructs the error), an
     /// unstable one retries from a fresh snapshot.
     ///
-    /// [`claim_free`]: HeapPublisher::claim_free
+    /// [`claim_free`]: SlotTable::claim_free
     fn fast_free(&self, addr: Addr) -> Option<bool> {
         let shard = self.shard_of(addr)?;
-        let p = &self.pubs[shard];
+        let p = &self.tables[shard];
         'retry: for _ in 0..FAST_RETRIES {
             let snap = match p.try_snapshot(addr.0) {
                 SnapshotOutcome::Snap(s) => s,
@@ -711,12 +708,12 @@ impl ShardedRuntime {
         None
     }
 
-    /// Raw publication probe for `addr`'s shard, exposed for the
+    /// Raw slot-record snapshot for `addr`'s shard, exposed for the
     /// concurrency tests (torture and property suites assert snapshot
     /// self-consistency through this).
     #[doc(hidden)]
     pub fn publish_probe(&self, addr: Addr) -> Option<SnapshotOutcome> {
-        Some(self.pubs[self.shard_of(addr)?].try_snapshot(addr.0))
+        Some(self.tables[self.shard_of(addr)?].try_snapshot(addr.0))
     }
 
     /// Resolve a published plan id against the shared registry (test
@@ -855,7 +852,7 @@ impl ShardedRuntime {
     /// owning shard), if tracked.
     pub fn object_meta(&self, base: Addr) -> Option<ObjectMeta> {
         let i = self.shard_of(base)?;
-        self.shard_ignore_poison(i).object_meta(base).cloned()
+        self.shard_ignore_poison(i).object_meta(base)
     }
 
     /// Combined statistics: every shard's counters (each read under its
@@ -881,14 +878,13 @@ impl ShardedRuntime {
         total
     }
 
-    /// Estimated POLaR bookkeeping bytes, summed over shards, plus the
-    /// publication side-tables and the shared plan registry.
+    /// Estimated POLaR bookkeeping bytes, summed over shards (slot
+    /// records included), plus the shared plan registry.
     pub fn estimated_metadata_bytes(&self) -> usize {
         let shards: usize = (0..self.shards.len())
             .map(|i| self.shard_ignore_poison(i).estimated_metadata_bytes())
             .sum();
-        let published: usize = self.pubs.iter().map(|p| p.metadata_bytes()).sum();
-        shards + published + self.registry.metadata_bytes()
+        shards + self.registry.metadata_bytes()
     }
 
     /// Heap-allocator footprint summed over shards (each read under its
@@ -906,6 +902,7 @@ impl ShardedRuntime {
             f.arena_bytes += rt.heap().arena_len();
             f.heap_allocs += s.allocs;
             f.heap_frees += s.frees;
+            f.index_bytes += rt.heap().index_bytes();
         }
         f
     }
@@ -1058,6 +1055,11 @@ pub struct HeapFootprint {
     pub heap_allocs: u64,
     /// Raw allocator frees, all shards.
     pub heap_frees: u64,
+    /// Allocator-owned bookkeeping outside the slot records (the unit
+    /// index and shuffle buffers), all shards. Not part of
+    /// [`ShardedRuntime::estimated_metadata_bytes`], which counts only
+    /// per-object metadata.
+    pub index_bytes: usize,
 }
 
 /// Teardown is the handle's panic-safe flush point: unconsumed magazine
@@ -1924,7 +1926,7 @@ mod tests {
     /// Torture phase 2: full lifecycle churn (free / re-malloc / copy)
     /// against concurrent lock-free readers. Readers must only ever see
     /// clean outcomes (a value, or a classified detection), and raw
-    /// publication snapshots must be self-consistent.
+    /// slot-record snapshots must be self-consistent.
     #[test]
     fn torture_lifecycle_churn_keeps_snapshots_consistent() {
         const WRITER_OPS: usize = 8_000;
@@ -1954,7 +1956,7 @@ mod tests {
                         _ if !live.is_empty() => {
                             let obj = live[driver.random_range(0..live.len())];
                             // In-place rerandomization: the riskiest
-                            // publication window (fields move).
+                            // writer window (fields move).
                             if rt.object_meta(obj).is_some_and(|m| m.class.hash() == info.hash())
                             {
                                 h.olr_memcpy(obj, obj, info).unwrap();
@@ -2185,6 +2187,30 @@ mod tests {
             assert_eq!(meta.generation, last_gen[&obj.0]);
         }
         assert!(recycled > 0, "the tiny arena must have recycled blocks");
+    }
+
+    /// Every slot is readable lock-free, however many the shard holds:
+    /// slot ids past 2^20 resolve through the same table as the first.
+    #[test]
+    fn slots_past_a_million_are_read_lock_free() {
+        const OLD_CAP: usize = 1 << 20;
+        let mut config = RuntimeConfig::default();
+        config.heap.capacity = 32 << 20;
+        let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), config, 1);
+        let info = people();
+        let mut h = rt.handle(0);
+        for _ in 0..OLD_CAP {
+            h.malloc_raw(16).unwrap();
+        }
+        let obj = h.olr_malloc(&info).unwrap();
+        let (slot, _) = rt.shards[0].lock().unwrap().heap().slot_gen(obj).unwrap();
+        assert!(slot as usize >= OLD_CAP, "slot {slot} must lie past the old cap");
+        h.write_field(obj, info.hash(), 1, 42).unwrap();
+        let before = rt.stats();
+        assert_eq!(rt.read_field(obj, info.hash(), 1).unwrap(), 42);
+        let after = rt.stats();
+        assert_eq!(after.lockfree_reads - before.lockfree_reads, 1);
+        assert_eq!(after.lockfree_fallbacks, before.lockfree_fallbacks, "no mutex fallback");
     }
 
     /// Satellite torture: cross-thread remote frees racing seqlock

@@ -44,14 +44,13 @@ use polar_rng::{Rng, SplitMix64};
 
 mod publish;
 mod shared;
-mod slab;
 
+use publish::MAX_BLOCK_BYTES;
 use shared::SharedArena;
 
 pub use publish::{
-    HeapPublisher, PubSnapshot, SnapshotOutcome, PUB_STATE_FREED, PUB_STATE_LIVE, PUB_STATE_NONE,
+    PubSnapshot, SlotTable, SnapshotOutcome, PUB_STATE_FREED, PUB_STATE_LIVE, PUB_STATE_NONE,
 };
-pub use slab::{Slab, SLAB_CHUNK};
 
 /// A heap address: a byte offset into the arena. `0` is reserved as null.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -154,21 +153,23 @@ pub enum BlockState {
     Freed,
 }
 
-/// Metadata the allocator keeps about one block (outside the arena, so
-/// exploits target object data rather than allocator metadata).
+/// The allocator's view of one block, read out of its slot record
+/// (metadata lives outside the arena, so exploits target object data
+/// rather than allocator metadata).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockInfo {
     /// Base address of the usable block.
     pub base: Addr,
-    /// Usable size in bytes (the rounded size-class size).
+    /// Usable size in bytes (the block's span: its size-class size, or
+    /// the whole reused span of a best-fit large block).
     pub size: usize,
-    /// Requested size at allocation time.
-    pub requested: usize,
     /// Current lifecycle state.
     pub state: BlockState,
     /// Monotonic allocation generation; bumped each time the slot is
     /// handed out again. Lets tooling tell "same address, new object".
     pub generation: u64,
+    /// The block's stable slot id.
+    pub slot: u32,
 }
 
 /// Placement-randomization policy: address-space entropy layered on the
@@ -392,32 +393,29 @@ fn placement_mask(bits: u32) -> u64 {
     (1u64 << bits.min(MAX_PLACEMENT_BITS)) - 1
 }
 
-/// The simulated heap: arena + segregated freelists + block table.
+/// The simulated heap: arena + segregated freelists + slot table.
 ///
-/// Block metadata lives in two dense structures instead of a hashtable
-/// (the shadow-index optimization of the hot-path overhaul): `slots` is
-/// an append-only table of [`BlockInfo`] records — one per distinct base
-/// address the allocator has ever handed out, identified by a stable
-/// **slot id** — and `index` maps every [`ALIGN`]-sized arena unit to
-/// the slot covering it (`0` = unowned: never allocated, or a redzone
-/// gap). Every metadata lookup, base-exact or interior, is therefore a
-/// constant-time array read, and the POLaR runtime reuses the same slot
-/// ids to index its own object-metadata shadow table.
-#[derive(Debug, Clone)]
+/// Every block the allocator has ever handed out owns one **slot**: a
+/// stable id (a base address keeps it for the heap's lifetime) naming
+/// one cache-line record in the [`SlotTable`]. The record describes the
+/// block (base, size, generation, freed bit) *and* the object the POLaR
+/// runtime recorded in it (class hash, plan hash, plan id, object
+/// state, warm flag) — the one per-object record every layer reads. The
+/// table's unit index maps every 16-byte arena unit to the slot
+/// covering it, so every lookup, base-exact or interior, is a
+/// constant-time array read.
+#[derive(Debug)]
 pub struct SimHeap {
     store: ArenaStore,
     config: HeapConfig,
     free_lists: [Vec<u64>; SIZE_CLASSES.len()],
     large_free: Vec<(u64, usize)>,
     quarantine: VecDeque<Addr>,
-    /// Dense block table, indexed by slot id; entries are never removed
-    /// (freed blocks keep their record, exactly like the old hashtable).
-    /// Chunked [`Slab`] storage: growth appends a fixed-size chunk
-    /// instead of reallocating and copying every record, so malloc never
-    /// pays an O(slots) copy spike.
-    slots: Slab<BlockInfo>,
-    /// `addr / ALIGN → slot id + 1` for every unit a block covers.
-    index: Vec<u32>,
+    /// The slot records and the unit index; records are never removed
+    /// (freed blocks keep theirs).
+    table: Arc<SlotTable>,
+    /// Slots handed out so far (the next fresh slot id).
+    slots: u32,
     /// Per-size-class shuffle buffers: freed blocks held back from their
     /// free list and released in random order
     /// ([`PlacementPolicy::shuffle_depth`]). Blocks in here are `Freed`,
@@ -427,9 +425,6 @@ pub struct SimHeap {
     /// when the placement policy is fully disabled.
     placement_rng: SplitMix64,
     stats: HeapStats,
-    /// Publication side-table for lock-free readers; `None` for
-    /// ordinary (local, single-threaded) heaps.
-    publisher: Option<Arc<HeapPublisher>>,
 }
 
 impl SimHeap {
@@ -439,18 +434,25 @@ impl SimHeap {
     /// [`PlacementPolicy::offset_entropy_bits`] is set).
     pub fn new(config: HeapConfig) -> Self {
         let (rng, extent) = Self::placement_init(&config);
+        Self::with_store(config, ArenaStore::Local(vec![0; extent]), rng)
+    }
+
+    fn with_store(config: HeapConfig, store: ArenaStore, placement_rng: SplitMix64) -> Self {
+        let shared = match &store {
+            ArenaStore::Local(_) => None,
+            ArenaStore::Shared(arena) => Some(Arc::clone(arena)),
+        };
         SimHeap {
-            store: ArenaStore::Local(vec![0; extent]),
+            store,
             config,
             free_lists: Default::default(),
             large_free: Vec::new(),
             quarantine: VecDeque::new(),
-            slots: Slab::new(),
-            index: vec![0],
+            table: Arc::new(SlotTable::new(config.capacity, config.arena_base, shared)),
+            slots: 0,
             shuffle: Default::default(),
-            placement_rng: rng,
+            placement_rng,
             stats: HeapStats::default(),
-            publisher: None,
         }
     }
 
@@ -468,54 +470,79 @@ impl SimHeap {
     }
 
     /// Create a **published** heap: arena bytes live in a shared atomic
-    /// store and block metadata is mirrored through a [`HeapPublisher`]
-    /// seqlock table, so other threads can read fields and snapshots
-    /// without this heap's owner lock. Mutation still requires `&mut
-    /// self` (the owner serializes writers); the publisher orders the
-    /// racing readers.
+    /// store and every slot-record mutation runs inside a seqlock
+    /// window, so other threads holding the [`SlotTable`] can read
+    /// fields and snapshots without this heap's owner lock. Mutation
+    /// still requires `&mut self` (the owner serializes writers); the
+    /// seqlock orders the racing readers.
     ///
     /// Borrowing reads ([`SimHeap::read`], [`SimHeap::read_in_block`])
     /// panic on a published heap — use [`SimHeap::read_vec`],
     /// [`SimHeap::read_into`], [`SimHeap::read_uint`] and
     /// [`SimHeap::check_in_block`] instead.
     pub fn new_published(config: HeapConfig) -> Self {
-        let publisher = Arc::new(HeapPublisher::new(config.capacity, config.arena_base));
-        let arena = publisher.arena_handle();
         let (rng, extent) = Self::placement_init(&config);
+        let arena = Arc::new(SharedArena::new(config.capacity));
         arena.grow_to(extent);
-        SimHeap {
-            store: ArenaStore::Shared(arena),
-            config,
-            free_lists: Default::default(),
-            large_free: Vec::new(),
-            quarantine: VecDeque::new(),
-            slots: Slab::new(),
-            index: vec![0],
-            shuffle: Default::default(),
-            placement_rng: rng,
-            stats: HeapStats::default(),
-            publisher: Some(publisher),
-        }
+        Self::with_store(config, ArenaStore::Shared(arena), rng)
     }
 
-    /// The publication side-table, when this heap is published.
-    pub fn publisher(&self) -> Option<&Arc<HeapPublisher>> {
-        self.publisher.as_ref()
+    /// The slot table: the per-slot records and the unit index. On a
+    /// published heap, lock-free readers keep a clone of this `Arc`.
+    pub fn table(&self) -> &Arc<SlotTable> {
+        &self.table
     }
 
-    /// Open a seqlock writer window on `slot` (no-op `None` for
-    /// unpublished heaps or out-of-coverage slots). Callers bracketing
-    /// their own multi-store mutations (the object runtime's metadata
-    /// records) pass the token back to [`SimHeap::pub_close`].
+    /// Open a seqlock writer window on `slot` (`None` on an unpublished
+    /// heap, which needs none). Callers bracketing their own multi-store
+    /// mutations (the object runtime's canary seeding and record write)
+    /// pass the token back to [`SimHeap::pub_close`].
     pub fn pub_open(&self, slot: u32) -> Option<u64> {
-        self.publisher.as_ref().and_then(|p| p.open(slot))
+        self.table.open(slot)
     }
 
     /// Close a window opened by [`SimHeap::pub_open`].
     pub fn pub_close(&self, slot: u32, token: Option<u64>) {
-        if let (Some(p), Some(token)) = (&self.publisher, token) {
-            p.close(slot, token);
+        if let Some(token) = token {
+            self.table.close(slot, token);
         }
+    }
+
+    /// Record a live object in `slot`, recorded under heap generation
+    /// `meta_gen`; clears the warm flag. Callers hold the slot's writer
+    /// window open across this.
+    pub fn record_object(
+        &mut self,
+        slot: u32,
+        class_hash: u64,
+        plan_hash: u64,
+        plan_id: Option<u32>,
+        meta_gen: u64,
+    ) {
+        self.table.record(slot, class_hash, plan_hash, plan_id, meta_gen);
+    }
+
+    /// Free the object recorded in `slot` and then its block: the record
+    /// flips to freed (generation kept, warm flag cleared) before the
+    /// block is released, so a lock-free reader sees the object live or
+    /// freed, never a released block under a live record.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapError::InvalidFree`] for a slot never handed out; otherwise
+    /// as for [`SimHeap::free`].
+    pub fn free_object(&mut self, slot: u32) -> Result<(), HeapError> {
+        let block = self.block_by_slot(slot).ok_or(HeapError::InvalidFree(Addr::NULL))?;
+        self.table.mark_freed(slot);
+        self.release(block)
+    }
+
+    /// The record of the block based exactly at `base`: block identity
+    /// plus whatever object the runtime recorded there. O(1).
+    #[inline]
+    pub fn record_at(&self, base: Addr) -> Option<PubSnapshot> {
+        let slot = self.slot_containing(base)?;
+        self.table.read(slot).filter(|r| r.base == base.0)
     }
 
     /// The configuration this heap was built with.
@@ -553,10 +580,26 @@ impl SimHeap {
     /// # Errors
     ///
     /// [`HeapError::ZeroSize`] for `size == 0`;
-    /// [`HeapError::OutOfMemory`] when the arena capacity is exhausted.
+    /// [`HeapError::OutOfMemory`] when the arena capacity is exhausted,
+    /// or when `size` exceeds the largest block a slot record can
+    /// describe (32 GiB).
     pub fn malloc(&mut self, size: usize) -> Result<Addr, HeapError> {
+        self.malloc_block(size).map(|b| b.base)
+    }
+
+    /// [`SimHeap::malloc`], returning the new block's full identity
+    /// (base, span, slot, generation) so callers that record an object
+    /// in it need no second lookup.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SimHeap::malloc`].
+    pub fn malloc_block(&mut self, size: usize) -> Result<BlockInfo, HeapError> {
         if size == 0 {
             return Err(HeapError::ZeroSize);
+        }
+        if size > MAX_BLOCK_BYTES {
+            return Err(HeapError::OutOfMemory { requested: size });
         }
         let (base, usable) = match size_class(size) {
             Some(class) => {
@@ -603,102 +646,48 @@ impl SimHeap {
         };
         let addr = Addr(base);
         let start = (base - self.config.arena_base) as usize;
-        let span = match self.slot_of_base(addr) {
+        let (slot, span, generation) = match self.slot_of_base(addr) {
             Some(slot) => {
                 // Reused slot: same base, same span — bump the generation.
                 // The generation bump and the zero-fill race concurrent
                 // readers of a published heap, so both sit inside one
-                // seqlock window; the bump also orphans any still-mirrored
-                // object metadata (meta_gen falls behind heap_gen).
+                // seqlock window; the bump also orphans any recorded
+                // object (its meta_gen falls behind heap_gen). The
+                // record's span is authoritative — it can exceed the
+                // class size when a best-fit or re-pooled span serves a
+                // smaller request.
                 self.stats.reuses += 1;
-                let win = self.pub_open(slot as u32);
-                let info = &mut self.slots[slot];
-                // The slot's recorded span is authoritative — it can
-                // exceed the class size when a best-fit or re-pooled
-                // span serves a smaller request.
-                let span = info.size;
-                info.requested = size;
-                info.state = BlockState::Live;
-                info.generation += 1;
-                let generation = info.generation;
-                if let Some(p) = &self.publisher {
-                    p.mirror_heap_gen(slot as u32, generation);
-                }
+                let win = self.pub_open(slot);
+                let (span, generation) = self.table.reuse(slot);
                 if self.config.zero_on_alloc {
                     self.store.fill(start, span, 0);
                 }
-                self.pub_close(slot as u32, win);
-                span
+                self.pub_close(slot, win);
+                (slot, span, generation)
             }
             None => {
-                let slot = self.slots.push(BlockInfo {
-                    base: addr,
-                    size: usable,
-                    requested: size,
-                    state: BlockState::Live,
-                    generation: 1,
-                });
-                let first = start / ALIGN;
-                let last = first + usable.div_ceil(ALIGN);
-                if self.index.len() < last {
-                    self.index.resize(last, 0);
+                if self.slots == u32::MAX {
+                    return Err(HeapError::OutOfMemory { requested: size });
                 }
-                for unit in &mut self.index[first..last] {
-                    *unit = slot + 1;
-                }
+                let slot = self.slots;
+                self.slots += 1;
                 if self.config.zero_on_alloc {
                     self.store.fill(start, usable, 0);
                 }
-                // Fresh block: initialize the mirror *before* the unit
+                // Fresh block: initialize the record *before* the unit
                 // index points at it — no reader can observe the slot
                 // until the Release unit stores land, so no window is
                 // needed.
-                if let Some(p) = &self.publisher {
-                    p.init_slot(slot, base, 1);
-                    p.publish_units(first, last, slot);
-                }
-                usable
+                self.table.init(slot, base, usable);
+                let first = start / ALIGN;
+                self.table.map_units(first, first + usable.div_ceil(ALIGN), slot);
+                (slot, usable, 1)
             }
         };
         self.stats.allocs += 1;
         self.stats.bytes_live += span;
         self.stats.bytes_peak = self.stats.bytes_peak.max(self.stats.bytes_live);
-        Ok(addr)
-    }
-
-    /// Reserve up to `k` blocks of `size` bytes in one call, appending
-    /// the bases to `out`. This is the magazine-refill primitive: the
-    /// caller pays one lock acquisition (and the publication windows it
-    /// covers) for `k` reservations instead of `k` round-trips.
-    ///
-    /// Returns the number of blocks actually reserved. Exhaustion
-    /// mid-batch is not an error — the partial batch is returned and
-    /// the caller retries later — but a first-allocation failure
-    /// surfaces the underlying error so out-of-memory is not silently
-    /// reported as an empty refill.
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::ZeroSize`] for `size == 0`; any [`SimHeap::malloc`]
-    /// error when not even one block could be reserved.
-    pub fn malloc_batch(
-        &mut self,
-        size: usize,
-        k: usize,
-        out: &mut Vec<Addr>,
-    ) -> Result<usize, HeapError> {
-        let mut reserved = 0;
-        while reserved < k {
-            match self.malloc(size) {
-                Ok(addr) => {
-                    out.push(addr);
-                    reserved += 1;
-                }
-                Err(err) if reserved == 0 => return Err(err),
-                Err(_) => break,
-            }
-        }
-        Ok(reserved)
+        Ok(BlockInfo { base: addr, size: span, state: BlockState::Live, generation, slot })
     }
 
     fn grow(&mut self, usable: usize) -> Result<u64, HeapError> {
@@ -736,24 +725,27 @@ impl SimHeap {
     /// to be recycled no longer has an owning slot (the block itself was
     /// freed successfully; the corrupt entry is dropped, not recycled).
     pub fn free(&mut self, addr: Addr) -> Result<(), HeapError> {
-        let slot = match self.slot_of_base(addr) {
-            Some(slot) => slot,
-            None => return Err(HeapError::InvalidFree(addr)),
-        };
-        match self.slots[slot].state {
-            BlockState::Freed => return Err(HeapError::DoubleFree(addr)),
-            BlockState::Live => {}
+        let block = self.block_at(addr).ok_or(HeapError::InvalidFree(addr))?;
+        self.release(block)
+    }
+
+    /// The body of [`SimHeap::free`] for an already looked-up block.
+    fn release(&mut self, block: BlockInfo) -> Result<(), HeapError> {
+        let addr = block.base;
+        if block.state == BlockState::Freed {
+            return Err(HeapError::DoubleFree(addr));
         }
         // The state flip and the poison fill are one atomic event to a
         // racing lock-free reader: window them together.
-        let win = self.pub_open(slot as u32);
-        self.slots[slot].state = BlockState::Freed;
-        let size = self.slots[slot].size;
+        let slot = block.slot;
+        let size = block.size;
+        let win = self.pub_open(slot);
+        self.table.free_block(slot);
         if let Some(poison) = self.config.poison {
             let start = (addr.0 - self.config.arena_base) as usize;
             self.store.fill(start, size, poison);
         }
-        self.pub_close(slot as u32, win);
+        self.pub_close(slot, win);
         self.stats.frees += 1;
         self.stats.bytes_live -= size;
         if self.config.quarantine == 0 {
@@ -771,8 +763,8 @@ impl SimHeap {
                 0
             };
             let released = self.quarantine.remove(pick).expect("non-empty");
-            let released_size = match self.slot_of_base(released) {
-                Some(slot) => self.slots[slot].size,
+            let released_size = match self.block_at(released) {
+                Some(block) => block.size,
                 // The unit index no longer maps this base to a slot:
                 // metadata corruption. Drop the entry (recycling it
                 // blind could alias a live block) and surface the
@@ -817,9 +809,9 @@ impl SimHeap {
     /// invariant checks (property tests assert the pools are disjoint
     /// and only ever hold freed blocks). Not a stable API.
     #[doc(hidden)]
-    pub fn free_pool_snapshot(&self) -> (Vec<Vec<u64>>, Vec<(u64, usize)>, Vec<u64>) {
+    pub fn free_pool_snapshot(&self) -> FreePools {
         (
-            self.free_lists.iter().cloned().collect(),
+            self.free_lists.to_vec(),
             self.large_free.clone(),
             self.shuffle.iter().flatten().copied().collect(),
         )
@@ -827,19 +819,14 @@ impl SimHeap {
 
     /// Slot id covering `addr` (any interior byte), if a block owns it.
     #[inline]
-    fn slot_containing(&self, addr: Addr) -> Option<usize> {
-        let unit = (self.local(addr)? as usize) / ALIGN;
-        match self.index.get(unit) {
-            Some(&raw) if raw != 0 => Some(raw as usize - 1),
-            _ => None,
-        }
+    fn slot_containing(&self, addr: Addr) -> Option<u32> {
+        self.table.unit((self.local(addr)? as usize) / ALIGN)
     }
 
     /// Slot id when `addr` is exactly a block base.
     #[inline]
-    fn slot_of_base(&self, addr: Addr) -> Option<usize> {
-        let slot = self.slot_containing(addr)?;
-        (self.slots.as_slice().get(slot)?.base == addr).then_some(slot)
+    fn slot_of_base(&self, addr: Addr) -> Option<u32> {
+        self.slot_gen(addr).map(|(slot, _)| slot)
     }
 
     /// Stable dense slot id and current allocation generation for a block
@@ -853,27 +840,28 @@ impl SimHeap {
     /// explicitly removing them.
     #[inline]
     pub fn slot_gen(&self, addr: Addr) -> Option<(u32, u64)> {
-        // One slice borrow serves both the base check and the generation
-        // load — this is the member-access hot path.
-        let slots = self.slots.as_slice();
         let slot = self.slot_containing(addr)?;
-        let info = slots.get(slot)?;
-        (info.base == addr).then(|| (slot as u32, info.generation))
+        let (base, generation) = self.table.base_gen(slot)?;
+        (base == addr.0).then_some((slot, generation))
     }
 
     /// Number of distinct block slots ever created (freed slots included).
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.slots as usize
     }
 
-    /// Bytes of allocator metadata: the block-table slab (whole chunks)
-    /// plus the arena-unit index. Feeds overhead accounting so metadata
-    /// tables are not invisibly free.
-    pub fn metadata_bytes(&self) -> usize {
-        self.slots.capacity_bytes()
-            + self.index.capacity() * std::mem::size_of::<u32>()
+    /// Bytes of committed slot records: the one per-object record, which
+    /// the runtime counts as its metadata.
+    pub fn record_bytes(&self) -> usize {
+        self.table.record_bytes()
+    }
+
+    /// Bytes of allocator-owned bookkeeping outside the records: the
+    /// unit index and the shuffle buffers. Not per-object metadata, so
+    /// the runtime leaves it out of its count; footprints report it.
+    pub fn index_bytes(&self) -> usize {
+        self.table.index_bytes()
             + self.shuffle.iter().map(|b| b.capacity() * std::mem::size_of::<u64>()).sum::<usize>()
-            + self.publisher.as_ref().map_or(0, |p| p.metadata_bytes())
     }
 
     /// Block metadata for the block *containing* `addr`, if any. O(1)
@@ -882,20 +870,29 @@ impl SimHeap {
     /// This is a diagnostic/tooling interface (the runtime and sanitizers
     /// use it); ordinary program accesses never consult it.
     pub fn block_containing(&self, addr: Addr) -> Option<BlockInfo> {
-        self.slot_containing(addr).map(|slot| self.slots[slot])
+        self.block_by_slot(self.slot_containing(addr)?)
     }
 
     /// Block metadata when `addr` is exactly a block base. O(1).
     pub fn block_at(&self, addr: Addr) -> Option<BlockInfo> {
-        self.slot_of_base(addr).map(|slot| self.slots[slot])
+        self.block_containing(addr).filter(|b| b.base == addr)
     }
 
     /// Block metadata by dense slot id (the id [`SimHeap::slot_gen`]
-    /// returns and the publication mirror indexes by). O(1); `None` for
-    /// ids never handed out. Remote-free intake uses this to map a
-    /// drained slot index back to its block base.
+    /// returns and the slot table indexes by). O(1); `None` for ids
+    /// never handed out. Remote-free intake uses this to map a drained
+    /// slot index back to its block base.
     pub fn block_by_slot(&self, slot: u32) -> Option<BlockInfo> {
-        self.slots.as_slice().get(slot as usize).copied()
+        if slot >= self.slots {
+            return None;
+        }
+        self.table.read(slot).map(|r| BlockInfo {
+            base: Addr(r.base),
+            size: r.size,
+            state: if r.block_freed { BlockState::Freed } else { BlockState::Live },
+            generation: r.heap_gen,
+            slot,
+        })
     }
 
     fn check_range(&self, addr: Addr, len: usize) -> Result<(usize, usize), HeapError> {
@@ -1102,10 +1099,15 @@ impl SimHeap {
     }
 
     /// Iterate over all blocks the allocator knows about (live and freed).
-    pub fn blocks(&self) -> impl Iterator<Item = &BlockInfo> {
-        self.slots.iter()
+    pub fn blocks(&self) -> impl Iterator<Item = BlockInfo> + '_ {
+        (0..self.slots).filter_map(|slot| self.block_by_slot(slot))
     }
 }
+
+/// [`SimHeap::free_pool_snapshot`]'s shape: per-class free lists, the
+/// `large_free` spans, and the shuffle-buffer contents.
+#[doc(hidden)]
+pub type FreePools = (Vec<Vec<u64>>, Vec<(u64, usize)>, Vec<u64>);
 
 fn round_up(value: usize, to: usize) -> usize {
     (value + to - 1) & !(to - 1)
@@ -1278,6 +1280,49 @@ mod tests {
     }
 
     #[test]
+    fn sizes_past_the_packed_size_field_are_out_of_memory() {
+        // The slot record packs a block's size in ALIGN units; a request
+        // the field cannot hold must fail before anything is carved,
+        // never truncate into a smaller block.
+        let mut h = heap();
+        let before = h.arena_len();
+        for size in [MAX_BLOCK_BYTES + 1, usize::MAX] {
+            assert_eq!(h.malloc(size), Err(HeapError::OutOfMemory { requested: size }));
+        }
+        assert_eq!(h.arena_len(), before, "a rejected request commits no arena");
+        assert_eq!(h.slot_count(), 0);
+        let a = h.malloc(64).unwrap();
+        assert_eq!(h.block_at(a).unwrap().size, 64, "the heap keeps working");
+    }
+
+    #[test]
+    fn records_describe_blocks_and_objects_in_one_place() {
+        let mut h = SimHeap::new_published(HeapConfig::default());
+        let a = h.malloc(100).unwrap();
+        let (slot, gen) = h.slot_gen(a).unwrap();
+        let win = h.pub_open(slot);
+        h.record_object(slot, 0xC1, 0x91, Some(4), gen);
+        h.pub_close(slot, win);
+        let r = h.record_at(a).unwrap();
+        assert_eq!((r.size, r.block_freed, r.plan_id), (128, false, Some(4)));
+        assert!(r.is_current());
+        // Freeing the block keeps the object fields; reusing it orphans
+        // the record (meta_gen falls behind) without touching it.
+        h.free(a).unwrap();
+        assert!(h.record_at(a).unwrap().block_freed);
+        assert_eq!(h.malloc(100).unwrap(), a);
+        let r = h.record_at(a).unwrap();
+        assert_eq!((r.class_hash, r.plan_id, r.block_freed), (0xC1, Some(4), false));
+        assert!(!r.is_current(), "raw reuse orphans the old record");
+        h.free_object(slot).unwrap();
+        let r = h.record_at(a).unwrap();
+        assert_eq!((r.state, r.block_freed), (PUB_STATE_FREED, true));
+        assert_eq!(h.free_object(slot), Err(HeapError::DoubleFree(a)));
+        assert_eq!(h.free_object(99), Err(HeapError::InvalidFree(Addr::NULL)));
+        assert!(h.record_bytes() > 0 && h.index_bytes() > 0);
+    }
+
+    #[test]
     fn oom_at_capacity() {
         let mut h = SimHeap::new(HeapConfig { capacity: 1024, ..HeapConfig::default() });
         let mut last = Ok(Addr::NULL);
@@ -1328,7 +1373,7 @@ mod tests {
         let b = h.malloc(32).unwrap();
         h.free(a).unwrap(); // `a` sits in quarantine
         let unit = (a.0 as usize) / ALIGN;
-        h.index[unit] = 0; // simulate index corruption
+        h.table.set_unit(unit, 0); // simulate index corruption
         let err = h.free(b).unwrap_err();
         assert_eq!(err, HeapError::IndexCorrupt(a));
         // The corrupt entry was dropped, not recycled: the heap keeps
@@ -1384,8 +1429,7 @@ mod tests {
     #[test]
     fn placement_off_is_bit_identical_to_the_deterministic_heap() {
         // A non-zero seed with all knobs zero must not change a thing.
-        let mut off = PlacementPolicy::default();
-        off.seed = 0xDEAD_BEEF;
+        let off = PlacementPolicy { seed: 0xDEAD_BEEF, ..PlacementPolicy::default() };
         assert!(!off.enabled());
         assert_eq!(
             trace(HeapConfig::default()),
@@ -1630,13 +1674,13 @@ mod tests {
     }
 
     #[test]
-    fn published_heap_mirrors_blocks_for_lock_free_readers() {
+    fn published_heap_serves_blocks_to_lock_free_readers() {
         let mut h = SimHeap::new_published(HeapConfig::default());
         let a = h.malloc(32).unwrap();
         h.write_u64(a, 0xFACE_FEED).unwrap();
         assert_eq!(h.read_u64(a).unwrap(), 0xFACE_FEED);
         assert_eq!(h.read_vec(a, 8).unwrap(), 0xFACE_FEEDu64.to_le_bytes());
-        let p = Arc::clone(h.publisher().unwrap());
+        let p = Arc::clone(h.table());
         match p.try_snapshot(a.0) {
             SnapshotOutcome::Snap(s) => {
                 assert_eq!(s.base, a.0);
@@ -1647,7 +1691,7 @@ mod tests {
             }
             other => panic!("expected snapshot, got {other:?}"),
         }
-        // Reuse bumps the mirrored generation and invalidates rechecks.
+        // Reuse bumps the generation and invalidates rechecks.
         let snap = match p.try_snapshot(a.0) {
             SnapshotOutcome::Snap(s) => s,
             other => panic!("expected snapshot, got {other:?}"),

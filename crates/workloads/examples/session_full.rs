@@ -15,9 +15,10 @@ fn main() {
     };
     let r = run_session_store(RandomizeMode::per_allocation(), cfg);
     println!(
-        "threads={} live={} ops={} ops/s={:.0} p50={}ns p99={}ns p999={}ns meta/live={:.1}B heap/live={:.1}B frag={:.3} maghit={:.4} elapsed={:?}",
+        "threads={} live={} ops={} ops/s={:.0} p50={}ns p99={}ns p999={}ns meta/live={:.1}B \
+         (counted) uncounted/live={:.1}B heap/live={:.1}B frag={:.3} maghit={:.4} elapsed={:?}",
         threads, r.live_objects, r.ops, r.ops_per_sec, r.p50_ns, r.p99_ns, r.p999_ns,
-        r.metadata_bytes_per_live, r.heap_bytes_per_live, r.fragmentation, r.magazine_hit_rate,
-        r.elapsed
+        r.metadata_bytes_per_live, r.uncounted_bytes_per_live, r.heap_bytes_per_live,
+        r.fragmentation, r.magazine_hit_rate, r.elapsed
     );
 }

@@ -93,8 +93,12 @@ pub struct SessionReport {
     pub p99_ns: u64,
     /// 99.9th percentile.
     pub p999_ns: u64,
-    /// POLaR bookkeeping bytes per live session.
+    /// POLaR bookkeeping bytes per live session: the counted metadata
+    /// (slot records, class/plan side tables, plans, registry).
     pub metadata_bytes_per_live: f64,
+    /// Allocator bookkeeping bytes per live session that the metadata
+    /// count leaves out (the heaps' unit indexes and shuffle buffers).
+    pub uncounted_bytes_per_live: f64,
     /// Heap bytes per live session (block + trap + alignment overhead
     /// included) — the figure that sizes `heap_capacity`.
     pub heap_bytes_per_live: f64,
@@ -284,6 +288,7 @@ pub fn run_session_store(mode: RandomizeMode, config: SessionConfig) -> SessionR
         p99_ns: histogram.quantile(0.99),
         p999_ns: histogram.quantile(0.999),
         metadata_bytes_per_live: rt.estimated_metadata_bytes() as f64 / live_objects.max(1) as f64,
+        uncounted_bytes_per_live: footprint.index_bytes as f64 / live_objects.max(1) as f64,
         heap_bytes_per_live: footprint.bytes_live as f64 / live_objects.max(1) as f64,
         fragmentation: footprint.bytes_peak as f64 / footprint.bytes_live.max(1) as f64,
         magazine_hit_rate: if served == 0 {

@@ -5,7 +5,8 @@
 #    policy, so any dependency that is not an in-tree path dependency
 #    (i.e. anything that would hit a registry) fails the check.
 # 2. Run the tier-1 gate: cargo build --release && cargo test -q.
-# 3. Run every workspace crate's tests, build the workspace binaries,
+# 3. Run clippy with warnings denied on polar-simheap and polar-runtime.
+# 4. Run every workspace crate's tests, build the workspace binaries,
 #    then run the release smokes, the bench gate and the security gate.
 #
 # Usage: scripts/check.sh [--lint-only]
@@ -64,6 +65,12 @@ echo "== tier-1 gate =="
 cargo build --release --offline
 cargo test -q --offline
 echo "ok: tier-1 green"
+
+echo "== clippy (simheap, runtime) =="
+# The heap and the runtime (and the in-tree crates they build on) must
+# stay free of clippy warnings; the other crates are not gated yet.
+cargo clippy --offline -p polar-simheap -p polar-runtime --all-targets -- -D warnings
+echo "ok: clippy clean"
 
 echo "== workspace tests =="
 # Tier-1 runs only the root package; every crate's unit and property
