@@ -29,7 +29,7 @@ pub fn exploit_input(id: &str) -> Vec<u8> {
         // png_struct_def.row_fn (palette block 64 + natural offset 24).
         "CVE-2015-8126" => {
             let mut payload = vec![32u8];
-            payload.extend(std::iter::repeat(0u8).take(96));
+            payload.extend(std::iter::repeat_n(0u8, 96));
             for k in 0..8 {
                 payload[1 + 88 + k] = 0x42;
             }
@@ -44,9 +44,7 @@ pub fn exploit_input(id: &str) -> Vec<u8> {
         // (row block 128 + natural offset 16).
         "CVE-2015-0973" => {
             let mut payload = vec![0u8; 152];
-            for k in 144..152 {
-                payload[k] = 0x42;
-            }
+            payload[144..152].fill(0x42);
             file(&[(b'H', vec![16, 0, 8, 0, 8, 0]), (b'O', payload)])
         }
         // width·depth = 512 but the allocation truncates to 0 (→ a
@@ -55,9 +53,7 @@ pub fn exploit_input(id: &str) -> Vec<u8> {
         // `size` (row block 16 + natural offset 16).
         "CVE-2013-7353" => {
             let mut row = vec![0u8; 512];
-            for k in 32..40 {
-                row[k] = 0x42;
-            }
+            row[32..40].fill(0x42);
             file(&[
                 (b'H', vec![32, 0, 8, 0, 16, 0]),
                 (b'U', vec![0u8; 600]),
@@ -68,9 +64,7 @@ pub fn exploit_input(id: &str) -> Vec<u8> {
         // (text block 32 + natural offset 8).
         "CVE-2011-3048" => {
             let mut payload = vec![0u8; 48];
-            for k in 40..48 {
-                payload[k] = 0x42;
-            }
+            payload[40..48].fill(0x42);
             file(&[(b'T', payload)])
         }
         other => panic!("unknown CVE id {other}"),
@@ -166,8 +160,10 @@ pub fn evaluate_all(polar_seed: u64) -> Vec<CveEvaluation> {
             let mut exploited_runs = 0u32;
             let mut detected_runs = 0u32;
             for t in 0..TRIALS {
-                let mut config = RuntimeConfig::default();
-                config.seed = polar_seed.wrapping_add(u64::from(t).wrapping_mul(0x9E37));
+                let config = RuntimeConfig {
+                    seed: polar_seed.wrapping_add(u64::from(t).wrapping_mul(0x9E37)),
+                    ..RuntimeConfig::default()
+                };
                 let polar = run_with_mode(
                     &hardened,
                     RandomizeMode::per_allocation(),

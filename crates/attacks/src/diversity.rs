@@ -72,15 +72,19 @@ fn layouts_of_run(defense: &Defense, run: u64, instances: usize) -> Vec<PlanHash
         | Defense::PolarPlacement { process_seed }
         | Defense::PolarStateless { process_seed, .. }
         | Defense::Sharded { process_seed, .. } => {
-            let mut c = RuntimeConfig::default();
-            // Fresh process entropy per execution.
-            c.seed = process_seed ^ (run.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-            // Mirror the harness configs: stateful plans for polar and
-            // sharded, derived plans (traps per variant) for stateless.
-            c.stateless = match defense {
-                Defense::PolarStateless { traps: true, .. } => StatelessPolicy::on(),
-                Defense::PolarStateless { traps: false, .. } => StatelessPolicy::permute_only(),
-                _ => StatelessPolicy::off(),
+            let c = RuntimeConfig {
+                // Fresh process entropy per execution.
+                seed: process_seed ^ (run.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
+                // Mirror the harness configs: stateful plans for polar and
+                // sharded, derived plans (traps per variant) for stateless.
+                stateless: match defense {
+                    Defense::PolarStateless { traps: true, .. } => StatelessPolicy::on(),
+                    Defense::PolarStateless { traps: false, .. } => {
+                        StatelessPolicy::permute_only()
+                    }
+                    _ => StatelessPolicy::off(),
+                },
+                ..RuntimeConfig::default()
             };
             (RandomizeMode::per_allocation(), c)
         }
@@ -136,12 +140,14 @@ pub fn measure(defense: Defense, instances: usize) -> DiversityReport {
 pub fn consecutive_share_rate(seed: u64, pool: PoolPolicy, pairs: usize) -> f64 {
     assert!(pairs > 0, "need at least one pair");
     let info = probe_class();
-    let mut config = RuntimeConfig::default();
-    config.seed = seed;
-    config.pool = pool;
-    // This estimator characterizes the *stored-plan pool*; the stateless
-    // derived path never consults it, so pin it off.
-    config.stateless = StatelessPolicy::off();
+    let mut config = RuntimeConfig {
+        seed,
+        pool,
+        // This estimator characterizes the *stored-plan pool*; the
+        // stateless derived path never consults it, so pin it off.
+        stateless: StatelessPolicy::off(),
+        ..RuntimeConfig::default()
+    };
     config.heap.capacity = 256 << 20;
     let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
     for _ in 0..2 * pool.size.max(1) {

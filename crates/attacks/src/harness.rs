@@ -67,8 +67,9 @@ pub enum Defense {
         /// Whether derived plans carry virtual booby traps.
         traps: bool,
     },
-    /// POLaR on the concurrent sharded runtime facade (single-context
-    /// embedding: allocations from shard 0, accesses routed by address).
+    /// POLaR on the concurrent sharded runtime, entered through one
+    /// thread's handle (allocations through its magazines on its home
+    /// shard, accesses routed by address).
     Sharded {
         /// The process's runtime entropy (fresh per execution).
         process_seed: u64,
@@ -108,7 +109,7 @@ impl Defense {
         Defense::PolarStateless { process_seed, traps: false }
     }
 
-    /// POLaR on the sharded facade (four shards).
+    /// POLaR on the sharded runtime (four shards).
     pub fn sharded(process_seed: u64) -> Self {
         Defense::Sharded { process_seed, shards: 4 }
     }
@@ -200,7 +201,7 @@ impl Defense {
                 // Stateful plans on every shard, as for `polar`.
                 config.stateless = polar_layout::StatelessPolicy::off();
                 // The scenarios touch a few hundred bytes; a small total
-                // arena keeps per-trial facade construction cheap.
+                // arena keeps per-trial runtime construction cheap.
                 config.heap.capacity = 4 << 20;
             }
             Defense::Redzone => {
@@ -380,13 +381,14 @@ pub(crate) fn prepare_module(scenario: &Scenario, defense: &Defense) -> polar_ir
 }
 
 /// One execution under `defense`'s runtime: the sharded defense builds
-/// the lock-striped facade; every other defense runs on a fresh
-/// single-context runtime.
+/// the lock-striped runtime and runs through one thread's handle; every
+/// other defense runs on a fresh single-context runtime.
 pub(crate) fn execute(module: &polar_ir::Module, defense: &Defense, input: &[u8]) -> ExecReport {
     match defense {
         Defense::Sharded { shards, .. } => {
-            let mut rt = ShardedRuntime::new(defense.mode(), defense.config(), *shards);
-            run(module, &mut rt, input, ExecLimits::default(), &mut NopTracer)
+            let rt = ShardedRuntime::new(defense.mode(), defense.config(), *shards);
+            let mut handle = rt.handle(0);
+            run(module, &mut handle, input, ExecLimits::default(), &mut NopTracer)
         }
         _ => run_with_mode(module, defense.mode(), defense.config(), input, ExecLimits::default()),
     }

@@ -74,8 +74,7 @@ fn one_trial(seed: u64, leak: bool) -> LeakTrial {
 
 fn one_trial_shielded(seed: u64, leak: bool, shield: MetadataShield) -> LeakTrial {
     let info = victim_class();
-    let mut config = RuntimeConfig::default();
-    config.seed = seed;
+    let config = RuntimeConfig { seed, ..RuntimeConfig::default() };
     let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
     let victim = rt.olr_malloc(&info).expect("alloc");
     rt.write_field(victim, info.hash(), CALLBACK, 0x1000).expect("init");

@@ -42,7 +42,7 @@
 //! The `_mtN` rows drive a [`ShardedRuntime`] with N threads; their
 //! `ns_per_op` is *aggregate* (wall time ÷ total ops across threads), so
 //! on a multi-core host it drops below the single-thread figure as the
-//! shards scale, and on a single-vCPU host it reports the facade's
+//! shards scale, and on a single-vCPU host it reports the handles'
 //! serialization cost honestly. Every entry records the machine's
 //! detected parallelism (`std::thread::available_parallelism`) at
 //! measurement time; the gate refuses to compare an `_mt*` pin measured
@@ -371,7 +371,7 @@ fn run_benches(quick: bool) -> Vec<Entry> {
     // mt1 row anchors the speedup-vs-threads curve (and the gate's
     // mt4 ≤ 1.5 × mt1 scaling claim); each handle's home shard is
     // distinct, so the only shared state is the striped locks and the
-    // atomic stats facade.
+    // runtime's shared stats atomics.
     for threads in [1u64, 2, 4, 8] {
         let rt = ShardedRuntime::new(
             RandomizeMode::per_allocation(),
@@ -409,7 +409,7 @@ fn run_benches(quick: bool) -> Vec<Entry> {
             .map(|t| {
                 let mut h = rt.handle(t);
                 let obj = h.olr_malloc(&info).expect("alloc");
-                rt.olr_getptr(obj, info.hash(), 1).expect("warm");
+                h.olr_getptr(obj, info.hash(), 1).expect("warm");
                 obj
             })
             .collect();
@@ -570,7 +570,7 @@ fn gate_measurements() -> Vec<(&'static str, &'static str, Box<dyn FnOnce() -> f
             .map(|t| {
                 let mut h = rt.handle(t);
                 let obj = h.olr_malloc(&info).expect("alloc");
-                rt.olr_getptr(obj, info.hash(), 1).expect("warm");
+                h.olr_getptr(obj, info.hash(), 1).expect("warm");
                 obj
             })
             .collect();

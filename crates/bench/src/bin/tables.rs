@@ -21,7 +21,7 @@ use polar_bench::{
 };
 use polar_instrument::{check_compatibility, instrument, InstrumentOptions};
 use polar_ir::interp::{run_native, run_with_mode, ExecLimits};
-use polar_runtime::{RandomizeMode, RuntimeConfig, RuntimeError, ShardedRuntime};
+use polar_runtime::{PolarRuntime, RandomizeMode, RuntimeConfig, RuntimeError, ShardedRuntime};
 use polar_workloads::{gc, js};
 
 fn ms(d: Duration) -> f64 {
@@ -353,8 +353,8 @@ fn sharded_detect() {
                     match canaried {
                         Some(dummy) => {
                             let slot = d.offset(u64::from(dummy.offset));
-                            let cur = rt.heap_read_uint(slot, 1).expect("read");
-                            rt.heap_write_uint(slot, !cur & 0xFF, 1).expect("write");
+                            let cur = h.heap_read_uint(slot, 1).expect("read");
+                            h.heap_write_uint(slot, !cur & 0xFF, 1).expect("write");
                             assert!(matches!(
                                 h.olr_free(d),
                                 Err(RuntimeError::TrapTriggered(_))
@@ -376,8 +376,7 @@ fn sharded_detect() {
     println!("  trap_scans           {:>8}", stats.trap_scans);
     println!("  dummy_touches        {:>8}", stats.dummy_touches);
     println!("  total_detections     {:>8}", stats.total_detections());
-    println!("\n  (folded from the per-shard atomic stats; before this table only the");
-    println!("   single-shard facade surfaced its detection counters)");
+    println!("\n  (folded from the per-shard stats and each handle's flushed counters)");
 }
 
 fn sites() {

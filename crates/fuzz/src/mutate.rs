@@ -97,7 +97,7 @@ impl Mutator {
                     let start = self.rng.random_range(0..input.len());
                     let len = self
                         .rng
-                        .random_range(1..=(input.len() - start).min(8).max(1));
+                        .random_range(1..=(input.len() - start).clamp(1, 8));
                     let chunk: Vec<u8> = input[start..start + len].to_vec();
                     let at = self.rng.random_range(0..=input.len());
                     for (k, b) in chunk.into_iter().enumerate() {
@@ -120,7 +120,7 @@ impl Mutator {
             _ => {
                 // Overwrite a run with one value (memset-like).
                 let i = self.rng.random_range(0..input.len());
-                let len = self.rng.random_range(1..=(input.len() - i).min(16).max(1));
+                let len = self.rng.random_range(1..=(input.len() - i).clamp(1, 16));
                 let v = self.rng.random();
                 for b in &mut input[i..i + len] {
                     *b = v;

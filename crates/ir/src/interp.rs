@@ -141,7 +141,8 @@ struct Frame {
 ///
 /// The runtime's mode decides how the `Olr*` instructions behave;
 /// native object instructions ignore the mode entirely. `rt` is any
-/// [`PolarRuntime`] — the plain [`ObjectRuntime`] or the sharded facade.
+/// [`PolarRuntime`] — the plain [`ObjectRuntime`] or a `ShardHandle`,
+/// one thread's door into the sharded runtime.
 pub fn run<T: Tracer, R: PolarRuntime>(
     module: &Module,
     rt: &mut R,

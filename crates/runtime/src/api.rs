@@ -2,21 +2,17 @@
 //!
 //! The IR interpreter and the adaptive-attack harness drive "a program"
 //! against "a runtime" without caring whether that runtime is the plain
-//! [`ObjectRuntime`] or the lock-striped [`ShardedRuntime`] facade. This
-//! trait is that seam: every instrumented entry point (`olr_*`), the raw
-//! heap primitives an *uninstrumented* program would use, and the
-//! statistics snapshot the evaluation reads.
+//! [`ObjectRuntime`] or a [`ShardHandle`](crate::ShardHandle) — one thread's door into a
+//! [`ShardedRuntime`](crate::ShardedRuntime). This trait is that seam:
+//! every instrumented entry point (`olr_*`), the raw heap primitives an
+//! *uninstrumented* program would use, and the statistics snapshot the
+//! evaluation reads.
 //!
-//! Two deliberate modeling choices:
-//!
-//! * The trait is `&mut self` even though [`ShardedRuntime`]'s inherent
-//!   API is `&self` — a single execution context is one logical thread,
-//!   and the exclusive receiver keeps the two implementations
-//!   interchangeable without `Sync` bounds leaking into executors.
-//! * The sharded implementation allocates from **shard 0** (its
-//!   single-context home shard). Address-keyed operations still route to
-//!   whichever shard owns the address, so cross-shard objects produced
-//!   by `olr_memcpy` behave exactly as they would under a thread handle.
+//! The trait is `&mut self`: a single execution context is one logical
+//! thread, and the exclusive receiver keeps the implementations
+//! interchangeable without `Sync` bounds leaking into executors. The
+//! sharded implementation lives next to the handle, whose
+//! address-keyed operations route to whichever shard owns the address.
 
 use std::sync::Arc;
 
@@ -26,7 +22,6 @@ use polar_simheap::{Addr, HeapError};
 
 use crate::error::{RuntimeError, TrapReport};
 use crate::runtime::{ObjectRuntime, RuntimeConfig, SiteCache};
-use crate::sharded::ShardedRuntime;
 use crate::stats::RuntimeStats;
 
 /// One logical thread's view of a POLaR runtime: instrumented object
@@ -288,123 +283,6 @@ impl PolarRuntime for ObjectRuntime {
     }
 }
 
-/// Single-context home shard for facade allocations: shard 0, matching
-/// `handle(0)`.
-const HOME_SHARD: usize = 0;
-
-impl PolarRuntime for ShardedRuntime {
-    fn config(&self) -> &RuntimeConfig {
-        ShardedRuntime::config(self)
-    }
-
-    fn stats(&self) -> RuntimeStats {
-        ShardedRuntime::stats(self)
-    }
-
-    fn compile_time_plan(&mut self, info: &Arc<ClassInfo>) -> Arc<LayoutPlan> {
-        ShardedRuntime::compile_time_plan(self, info)
-    }
-
-    fn olr_malloc(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
-        self.olr_malloc_on(HOME_SHARD, info)
-    }
-
-    fn olr_free(&mut self, base: Addr) -> Result<(), RuntimeError> {
-        ShardedRuntime::olr_free(self, base)
-    }
-
-    fn olr_getptr_ic(
-        &mut self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        ic: &mut SiteCache,
-    ) -> Result<Addr, RuntimeError> {
-        ShardedRuntime::olr_getptr_ic(self, base, expected, field, ic)
-    }
-
-    fn olr_memcpy(
-        &mut self,
-        dst: Addr,
-        src: Addr,
-        site_class: &Arc<ClassInfo>,
-    ) -> Result<(), RuntimeError> {
-        ShardedRuntime::olr_memcpy(self, dst, src, site_class)
-    }
-
-    fn read_field(
-        &mut self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-    ) -> Result<u64, RuntimeError> {
-        ShardedRuntime::read_field(self, base, expected, field)
-    }
-
-    fn write_field(
-        &mut self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        value: u64,
-    ) -> Result<(), RuntimeError> {
-        ShardedRuntime::write_field(self, base, expected, field, value)
-    }
-
-    fn check_traps(&mut self, base: Addr) -> Result<Vec<TrapReport>, RuntimeError> {
-        ShardedRuntime::check_traps(self, base)
-    }
-
-    fn plan_size(&self, base: Addr) -> Option<u32> {
-        self.object_meta(base).map(|meta| meta.plan.size())
-    }
-
-    fn heap_malloc(&mut self, size: usize) -> Result<Addr, HeapError> {
-        self.malloc_raw_on(HOME_SHARD, size).map_err(|err| match err {
-            RuntimeError::Heap(e) => e,
-            // malloc_raw only surfaces heap errors; keep the fallback
-            // total anyway.
-            _ => HeapError::OutOfMemory { requested: size },
-        })
-    }
-
-    fn heap_free(&mut self, addr: Addr) -> Result<(), HeapError> {
-        ShardedRuntime::free_raw(self, addr).map_err(|err| match err {
-            RuntimeError::Heap(e) => e,
-            _ => HeapError::InvalidFree(addr),
-        })
-    }
-
-    fn heap_read_uint(&self, addr: Addr, width: usize) -> Result<u64, HeapError> {
-        ShardedRuntime::heap_read_uint(self, addr, width)
-    }
-
-    fn probe_read_uint(&mut self, addr: Addr, width: usize) -> Result<u64, RuntimeError> {
-        ShardedRuntime::probe_read_uint(self, addr, width)
-    }
-
-    fn heap_write_uint(
-        &mut self,
-        addr: Addr,
-        value: u64,
-        width: usize,
-    ) -> Result<(), HeapError> {
-        ShardedRuntime::heap_write_uint(self, addr, value, width)
-    }
-
-    fn heap_write(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), HeapError> {
-        ShardedRuntime::heap_write(self, addr, bytes)
-    }
-
-    fn heap_memmove(&mut self, dst: Addr, src: Addr, len: usize) -> Result<(), HeapError> {
-        ShardedRuntime::heap_memmove(self, dst, src, len)
-    }
-
-    fn heap_check_in_block(&self, addr: Addr, len: usize) -> Result<(), HeapError> {
-        ShardedRuntime::heap_check_in_block(self, addr, len)
-    }
-}
-
 impl<P: PolarRuntime + ?Sized> PolarRuntime for Box<P> {
     fn config(&self) -> &RuntimeConfig {
         (**self).config()
@@ -514,11 +392,12 @@ impl<P: PolarRuntime + ?Sized> PolarRuntime for Box<P> {
 mod tests {
     use super::*;
     use crate::runtime::RandomizeMode;
+    use crate::sharded::ShardedRuntime;
     use polar_classinfo::{ClassDecl, FieldKind};
 
-    fn people() -> Arc<ClassInfo> {
+    fn class(name: &str) -> Arc<ClassInfo> {
         Arc::new(ClassInfo::from_decl(
-            ClassDecl::builder("People")
+            ClassDecl::builder(name)
                 .field("vtable", FieldKind::VtablePtr)
                 .field("age", FieldKind::I32)
                 .field("height", FieldKind::I32)
@@ -526,39 +405,71 @@ mod tests {
         ))
     }
 
-    /// The same single-context program, run against both implementations
-    /// through the trait: results must agree operation for operation.
-    fn drive<R: PolarRuntime>(rt: &mut R) -> (u64, bool, bool) {
-        let info = people();
+    /// The error variant's name, so implementations can be compared on
+    /// classification without comparing addresses.
+    fn variant<T>(result: Result<T, RuntimeError>) -> &'static str {
+        match result {
+            Ok(_) => "Ok",
+            Err(RuntimeError::UseAfterFree { .. }) => "UseAfterFree",
+            Err(RuntimeError::ClassMismatch { .. }) => "ClassMismatch",
+            Err(RuntimeError::UnknownObject(_)) => "UnknownObject",
+            Err(RuntimeError::FieldOutOfBounds { .. }) => "FieldOutOfBounds",
+            Err(RuntimeError::TrapTriggered(_)) => "TrapTriggered",
+            Err(RuntimeError::DoubleFree(_)) => "DoubleFree",
+            Err(RuntimeError::Heap(_)) => "Heap",
+            Err(RuntimeError::ShardPoisoned { .. }) => "ShardPoisoned",
+        }
+    }
+
+    /// The same single-context program, run against an implementation
+    /// through the trait: results and error classifications must agree
+    /// operation for operation.
+    fn drive<R: PolarRuntime + ?Sized>(rt: &mut R) -> (u64, bool, [&'static str; 5]) {
+        let info = class("People");
+        let other = class("Robot");
+        // Every object is allocated up front, so no allocation (and, on a
+        // handle, no magazine refill) can recycle a freed block between
+        // the checks below.
         let obj = rt.olr_malloc(&info).unwrap();
+        let freed = rt.olr_malloc(&info).unwrap();
+        let twice = rt.olr_malloc(&info).unwrap();
+        let buf = rt.heap_malloc(64).unwrap();
         rt.write_field(obj, info.hash(), 1, 30).unwrap();
         let read_back = rt.read_field(obj, info.hash(), 1).unwrap();
-        let buf = rt.heap_malloc(64).unwrap();
         rt.heap_write_uint(buf, 0xFEED, 8).unwrap();
         let raw = rt.heap_read_uint(buf, 8).unwrap();
-        rt.heap_free(buf).unwrap();
         let sized = rt.plan_size(obj).is_some();
+        rt.olr_free(freed).unwrap();
+        rt.olr_free(twice).unwrap();
+        let errors = [
+            variant(rt.read_field(freed, info.hash(), 1)),
+            variant(rt.olr_free(twice)),
+            variant(rt.read_field(obj, other.hash(), 1)),
+            variant(rt.read_field(obj, info.hash(), 99)),
+            variant(rt.read_field(buf, info.hash(), 1)),
+        ];
+        rt.heap_free(buf).unwrap();
         rt.olr_free(obj).unwrap();
-        let uaf = matches!(
-            rt.read_field(obj, info.hash(), 1),
-            Err(RuntimeError::UseAfterFree { .. })
-        );
-        (read_back ^ raw, sized, uaf)
+        (read_back ^ raw, sized, errors)
     }
 
     #[test]
-    fn both_implementations_satisfy_the_contract() {
-        let config = RuntimeConfig::default();
-        let mut single = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
-        let mut config_sharded = RuntimeConfig::default();
-        config_sharded.heap.capacity = 64 << 20;
-        let mut sharded =
-            ShardedRuntime::new(RandomizeMode::per_allocation(), config_sharded, 4);
-        assert_eq!(drive(&mut single), (0xFEED ^ 30, true, true));
-        assert_eq!(drive(&mut sharded), (0xFEED ^ 30, true, true));
-        // And through a boxed trait object, as the attack search uses it.
-        let mut boxed: Box<dyn PolarRuntime> =
-            Box::new(ObjectRuntime::new(RandomizeMode::per_allocation(), RuntimeConfig::default()));
-        assert_eq!(drive(&mut boxed), (0xFEED ^ 30, true, true));
+    fn every_implementation_satisfies_the_contract() {
+        let expected = (
+            0xFEED ^ 30,
+            true,
+            ["UseAfterFree", "DoubleFree", "ClassMismatch", "FieldOutOfBounds", "UnknownObject"],
+        );
+        let mut single =
+            ObjectRuntime::new(RandomizeMode::per_allocation(), RuntimeConfig::default());
+        assert_eq!(drive(&mut single), expected, "ObjectRuntime");
+        let mut config = RuntimeConfig::default();
+        config.heap.capacity = 64 << 20;
+        let sharded = ShardedRuntime::new(RandomizeMode::per_allocation(), config, 4);
+        assert_eq!(drive(&mut sharded.handle(0)), expected, "ShardHandle");
+        // And through a boxed trait object over a handle, as the attack
+        // search uses it.
+        let mut boxed: Box<dyn PolarRuntime + '_> = Box::new(sharded.handle(1));
+        assert_eq!(drive(&mut boxed), expected, "Box<dyn PolarRuntime>");
     }
 }

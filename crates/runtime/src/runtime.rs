@@ -642,7 +642,7 @@ impl ObjectRuntime {
     /// Reserve one fully-armed allocation for `info` with a
     /// caller-supplied plan, *without counting it as an allocation*.
     /// This is the body of [`olr_malloc`](ObjectRuntime::olr_malloc)
-    /// minus the stat: the sharded facade's magazine front-end draws
+    /// minus the stat: a shard handle's magazine front-end draws
     /// plans from each thread's own pool outside the shard lock,
     /// reserves capsules in batches under it, and counts `allocations`
     /// only when a thread actually pops one, so `allocations == frees`
@@ -1073,7 +1073,7 @@ impl ObjectRuntime {
 
     /// Resolve the class and source-side layout for an object copy from
     /// `src` (UAF-checked), counting the attempt. Split out of
-    /// [`ObjectRuntime::olr_memcpy`] so the sharded facade can run the
+    /// [`ObjectRuntime::olr_memcpy`] so a shard handle can run the
     /// source half on one shard and [`ObjectRuntime::install_copy`] on
     /// another.
     pub(crate) fn copy_source(
@@ -1366,7 +1366,7 @@ fn plan_payload_bytes(p: &LayoutPlan) -> usize {
 }
 
 /// Stored width of a dummy slot's canary. `pub(crate)` so the sharded
-/// facade's lock-free free path scans traps with byte-identical
+/// handle's lock-free free path scans traps with byte-identical
 /// semantics to [`ObjectRuntime::olr_free`]'s locked sweep.
 pub(crate) fn canary_width(size: u32) -> usize {
     match size {

@@ -30,8 +30,8 @@
 //!   identity and object metadata — is readable without the shard's
 //!   lock, plans are interned into a shared
 //!   [`PlanRegistry`] resolvable by integer id, and
-//!   [`ShardedRuntime::olr_getptr`], [`ShardedRuntime::olr_getptr_ic`]
-//!   and [`ShardedRuntime::read_field`] first attempt the access with
+//!   [`ShardHandle::olr_getptr`], [`ShardHandle::olr_getptr_ic`]
+//!   and [`ShardHandle::read_field`] first attempt the access with
 //!   **no lock at all**: snapshot the slot, validate
 //!   `(base, live, generation, class)`, resolve the field through the
 //!   registry plan, and — for `read_field` — load the value from the
@@ -41,9 +41,8 @@
 //!   shard mutex, whose path does all of its own counting and error
 //!   construction; the fast path therefore only ever *adds* the
 //!   success-shape counters, keeping the two paths' statistics
-//!   semantics identical. Each lock-free operation has one body, generic
-//!   over where it counts: the facade's shared atomics or a handle's
-//!   plain per-thread sheet.
+//!   semantics identical. Each lock-free operation has one body, which
+//!   counts into the handle's plain per-thread sheet.
 //! * **Magazine front-end + remote frees.** Each [`ShardHandle`] keeps
 //!   per-size-class **magazines** of pre-reserved allocation capsules —
 //!   fully armed objects (block allocated, canaries seeded, metadata
@@ -61,12 +60,16 @@
 //!   accesses keep being classified by the one locked path that owns
 //!   detection semantics.
 //!
-//! Handles round-robin their **home shard** (`thread % shards`) for
-//! allocations; accesses to any address still work from any thread
-//! because routing is by address, not by handle.
+//! A thread's only door into the runtime is its [`ShardHandle`]: the
+//! facade itself offers construction, handles and observability, and
+//! every `olr_*` operation, raw-heap primitive and the [`PolarRuntime`]
+//! implementation live on the handle. Handles round-robin their **home
+//! shard** (`thread % shards`) for allocations; accesses to any address
+//! still work from any handle because routing is by address, not by
+//! handle.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use polar_classinfo::{ClassHash, ClassInfo};
@@ -77,7 +80,8 @@ use polar_layout::{
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64, Xoshiro256StarStar};
 use polar_simheap::{Addr, HeapError, SlotTable, SnapshotOutcome, PUB_STATE_FREED, PUB_STATE_LIVE};
 
-use crate::error::RuntimeError;
+use crate::api::PolarRuntime;
+use crate::error::{RuntimeError, TrapReport};
 use crate::runtime::{
     canary_width, truncate, Capsule, ObjectMeta, ObjectRuntime, RandomizeMode, RuntimeConfig,
     SiteCache,
@@ -104,7 +108,7 @@ const FAST_RETRIES: usize = 8;
 /// acquisition amortized over this many allocations.
 const MAGAZINE_BATCH: usize = 32;
 
-// Shape indices for the per-shard lock-free counters: `_COLD` is the
+// Shape indices for a handle's lock-free read sheet: `_COLD` is the
 // object's first counted access since its record was (re)written, the
 // `+ 1` "warm" sibling is every later one (the offset-cache hit).
 const SHAPE_PLAIN_COLD: usize = 0;
@@ -112,45 +116,24 @@ const SHAPE_IC_HIT_COLD: usize = 2;
 const SHAPE_IC_MISS_COLD: usize = 4;
 const SHAPE_FALLBACK: usize = 6;
 
-/// Per-shard success/fallback counters for the lock-free read path, on
-/// their own cache line so hot shards do not false-share. One relaxed
-/// `fetch_add` per fast access; [`FastCounters::fold_into`] expands the
-/// shapes into the ordinary [`RuntimeStats`] columns with exactly the
-/// locked path's semantics.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct FastCounters([AtomicU64; 8]);
-
-impl FastCounters {
-    #[inline]
-    fn bump(&self, shape: usize) {
-        self.0[shape].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold a handle's plain pending sheet in (one `fetch_add` per
-    /// non-zero shape, instead of one per operation).
-    fn bump_many(&self, pending: &[u64; 8]) {
-        for (cell, &n) in self.0.iter().zip(pending) {
-            if n != 0 {
-                cell.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn fold_into(&self, total: &mut RuntimeStats) {
-        let c: Vec<u64> = self.0.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        let hits: u64 = c[..6].iter().sum();
-        // Every fast success is a member access served from the slot
-        // table; warm shapes are offset-cache hits and the ic shapes feed
-        // the site-cache columns — the same accounting getptr_core does
-        // under the lock.
-        total.member_accesses += hits;
-        total.shadow_hits += hits;
-        total.cache_hits += c[SHAPE_PLAIN_COLD + 1] + c[SHAPE_IC_HIT_COLD + 1] + c[SHAPE_IC_MISS_COLD + 1];
-        total.site_ic_hits += c[SHAPE_IC_HIT_COLD] + c[SHAPE_IC_HIT_COLD + 1];
-        total.site_ic_misses += c[SHAPE_IC_MISS_COLD] + c[SHAPE_IC_MISS_COLD + 1];
-        total.lockfree_reads += hits;
-        total.lockfree_fallbacks += c[SHAPE_FALLBACK];
+/// Expand a handle's read sheet (one plain count per shape) into the
+/// ordinary [`RuntimeStats`] columns, with exactly the locked path's
+/// semantics.
+fn sheet_stats(c: &[u64; 8]) -> RuntimeStats {
+    let hits: u64 = c[..SHAPE_FALLBACK].iter().sum();
+    // Every fast success is a member access served from the slot table;
+    // warm shapes are offset-cache hits and the ic shapes feed the
+    // site-cache columns — the same accounting getptr_core does under
+    // the lock.
+    RuntimeStats {
+        member_accesses: hits,
+        shadow_hits: hits,
+        cache_hits: c[SHAPE_PLAIN_COLD + 1] + c[SHAPE_IC_HIT_COLD + 1] + c[SHAPE_IC_MISS_COLD + 1],
+        site_ic_hits: c[SHAPE_IC_HIT_COLD] + c[SHAPE_IC_HIT_COLD + 1],
+        site_ic_misses: c[SHAPE_IC_MISS_COLD] + c[SHAPE_IC_MISS_COLD + 1],
+        lockfree_reads: hits,
+        lockfree_fallbacks: c[SHAPE_FALLBACK],
+        ..RuntimeStats::default()
     }
 }
 
@@ -164,33 +147,6 @@ impl FastCounters {
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct RemoteHead(AtomicU32);
-
-/// Where a lock-free operation counts. The facade counts straight into
-/// the runtime's shared atomics; a [`ShardHandle`] counts into its plain
-/// per-thread sheet and folds it in at [`ShardHandle::flush_stats`]. The
-/// one body per operation is generic over this sink, so both front
-/// doors run the same code.
-trait Tally {
-    /// Count one read attempt on `shard` under counter index `idx`.
-    fn read(&mut self, shard: usize, idx: usize);
-    /// Count a whole-stats delta (the fast-free counters).
-    fn add(&mut self, delta: &RuntimeStats);
-}
-
-/// The facade's tally: one relaxed `fetch_add` per event.
-struct Shared<'a>(&'a ShardedRuntime);
-
-impl Tally for Shared<'_> {
-    #[inline]
-    fn read(&mut self, shard: usize, idx: usize) {
-        self.0.fast[shard].bump(idx);
-    }
-
-    #[inline]
-    fn add(&mut self, delta: &RuntimeStats) {
-        self.0.facade.add(delta);
-    }
-}
 
 /// Outcome of one optimistic snapshot-and-resolve attempt.
 enum FastAttempt {
@@ -211,7 +167,9 @@ enum FastAttempt {
 ///
 /// The existing single-thread API is untouched — `ShardedRuntime` is a
 /// facade over ordinary `ObjectRuntime`s, and single-threaded code keeps
-/// using `ObjectRuntime` directly.
+/// using `ObjectRuntime` directly. The facade itself only builds,
+/// hands out [`ShardHandle`]s and reports; every object operation goes
+/// through a handle.
 #[derive(Debug)]
 pub struct ShardedRuntime {
     shards: Vec<Mutex<ObjectRuntime>>,
@@ -221,8 +179,6 @@ pub struct ShardedRuntime {
     /// Shared plan storage for published metadata: readers resolve the
     /// small ids carried by slot records here, lock-free.
     registry: Arc<PlanRegistry>,
-    /// Per-shard lock-free read counters (same index as `shards`).
-    fast: Vec<FastCounters>,
     /// Per-shard remote-free stack heads (same index as `shards`).
     remote: Vec<RemoteHead>,
     /// Arena bytes per shard; shard of `addr` = `addr / span`.
@@ -292,13 +248,11 @@ impl ShardedRuntime {
                 Mutex::new(rt)
             })
             .collect();
-        let fast = (0..shards.len()).map(|_| FastCounters::default()).collect();
         let remote = (0..shards.len()).map(|_| RemoteHead::default()).collect();
         ShardedRuntime {
             shards,
             tables,
             registry,
-            fast,
             remote,
             span: per as u64,
             span_shift: (per as u64).is_power_of_two().then(|| per.trailing_zeros()),
@@ -346,7 +300,7 @@ impl ShardedRuntime {
             interner: PlanInterner::new(),
             pools: PlanPools::new(self.config.pool),
             rng: thread_rng(self.config.seed, thread),
-            sheet: vec![[0u64; 8]; self.shards.len()].into_boxed_slice(),
+            sheet: [0; 8],
             magazines: Vec::new(),
             pending: RuntimeStats::default(),
         }
@@ -555,89 +509,6 @@ impl ShardedRuntime {
         shape + usize::from(warm)
     }
 
-    /// The one `olr_getptr`/`olr_getptr_ic` body (the latter with `ic`):
-    /// resolve lock-free when the published snapshot allows, else take
-    /// the owning shard's mutex, whose path does all of its own counting
-    /// and error construction. The attempt is counted into `tally`.
-    #[inline]
-    fn getptr_in(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        mut ic: Option<&mut SiteCache>,
-        tally: &mut impl Tally,
-    ) -> Result<Addr, RuntimeError> {
-        let shard = self.shard_of(base).ok_or(RuntimeError::UnknownObject(base))?;
-        for _ in 0..FAST_RETRIES {
-            match self.fast_attempt(shard, base, expected, field, ic.as_deref_mut()) {
-                FastAttempt::Hit { addr, slot, shape, warmed, .. } => {
-                    tally.read(shard, self.fast_idx(shard, slot, shape, warmed));
-                    return Ok(addr);
-                }
-                FastAttempt::Fallback => break,
-                FastAttempt::Contended => std::hint::spin_loop(),
-            }
-        }
-        tally.read(shard, SHAPE_FALLBACK);
-        let mut rt = self.shard(shard)?;
-        match ic {
-            Some(ic) => rt.olr_getptr_ic(base, expected, field, ic),
-            None => rt.olr_getptr(base, expected, field),
-        }
-    }
-
-    /// The one `read_field` body, counted as in
-    /// [`ShardedRuntime::getptr_in`]: resolve, load the value from the
-    /// shared arena, then re-check the slot's sequence — an unchanged
-    /// sequence proves no writer window (field store, free, reuse)
-    /// overlapped the byte load, so the value is never torn.
-    #[inline]
-    fn read_field_in(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        tally: &mut impl Tally,
-    ) -> Result<u64, RuntimeError> {
-        let shard = self.shard_of(base).ok_or(RuntimeError::UnknownObject(base))?;
-        for _ in 0..FAST_RETRIES {
-            match self.fast_attempt(shard, base, expected, field, None) {
-                FastAttempt::Hit { addr, width, slot, seq, shape, warmed } => {
-                    let p = &self.tables[shard];
-                    let Some(value) = p.read_uint(addr.0, width) else { break };
-                    if !p.recheck(slot, seq) {
-                        std::hint::spin_loop();
-                        continue; // torn load: retry from a fresh snapshot
-                    }
-                    tally.read(shard, self.fast_idx(shard, slot, shape, warmed));
-                    return Ok(value);
-                }
-                FastAttempt::Fallback => break,
-                FastAttempt::Contended => std::hint::spin_loop(),
-            }
-        }
-        tally.read(shard, SHAPE_FALLBACK);
-        self.shard(shard)?.read_field(base, expected, field)
-    }
-
-    /// The one `olr_free` body: the lock-free claim
-    /// ([`ShardedRuntime::fast_free`]) counted into `tally`, else the
-    /// owning shard's mutex.
-    #[inline]
-    fn free_in(&self, addr: Addr, tally: &mut impl Tally) -> Result<(), RuntimeError> {
-        if let Some(scanned) = self.fast_free(addr) {
-            tally.add(&RuntimeStats {
-                frees: 1,
-                fast_frees: 1,
-                trap_scans: u64::from(scanned),
-                ..RuntimeStats::default()
-            });
-            return Ok(());
-        }
-        self.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.olr_free(addr)
-    }
-
     /// Lock-free `olr_free` attempt. `Some(scanned)` means the free
     /// completed without the shard mutex: the published snapshot proved
     /// a live, generation-current object at exactly `addr`, the trap
@@ -722,132 +593,6 @@ impl ShardedRuntime {
     pub fn registry_plan(&self, id: u32) -> Option<Arc<polar_layout::LayoutPlan>> {
         self.registry.get(id).cloned()
     }
-
-    /// [`ObjectRuntime::olr_free`], routed by address. The free first
-    /// attempts the lock-free claim; every condition the fast path
-    /// cannot classify falls back to the shard mutex.
-    ///
-    /// # Errors
-    ///
-    /// As for the single-thread call; addresses outside every shard
-    /// window report [`HeapError::InvalidFree`].
-    pub fn olr_free(&self, addr: Addr) -> Result<(), RuntimeError> {
-        self.free_in(addr, &mut Shared(self))
-    }
-
-    /// [`ObjectRuntime::olr_getptr`], routed by address.
-    ///
-    /// # Errors
-    ///
-    /// As for the single-thread call; unroutable addresses report
-    /// [`RuntimeError::UnknownObject`].
-    #[inline]
-    pub fn olr_getptr(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-    ) -> Result<Addr, RuntimeError> {
-        self.getptr_in(base, expected, field, None, &mut Shared(self))
-    }
-
-    /// [`ObjectRuntime::olr_getptr_ic`], routed by address. The site
-    /// cache is the caller's (typically thread-local) storage.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::olr_getptr`].
-    #[inline]
-    pub fn olr_getptr_ic(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        ic: &mut SiteCache,
-    ) -> Result<Addr, RuntimeError> {
-        self.getptr_in(base, expected, field, Some(ic), &mut Shared(self))
-    }
-
-    /// [`ObjectRuntime::read_field`], routed by address.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::olr_getptr`] plus heap faults.
-    #[inline]
-    pub fn read_field(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-    ) -> Result<u64, RuntimeError> {
-        self.read_field_in(base, expected, field, &mut Shared(self))
-    }
-
-    /// [`ObjectRuntime::write_field`], routed by address.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::olr_getptr`] plus heap faults.
-    pub fn write_field(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        value: u64,
-    ) -> Result<(), RuntimeError> {
-        self.route(base, RuntimeError::UnknownObject(base))?
-            .write_field(base, expected, field, value)
-    }
-
-    /// [`ObjectRuntime::olr_memcpy`] across shards: same-shard copies
-    /// delegate under one lock; cross-shard copies stage the source
-    /// fields on the source shard, then install the duplicate on the
-    /// destination shard. Both locks are taken in shard-index order so
-    /// concurrent copies in opposite directions cannot deadlock.
-    ///
-    /// # Errors
-    ///
-    /// As for the single-thread call; unroutable endpoints fault.
-    pub fn olr_memcpy(
-        &self,
-        dst: Addr,
-        src: Addr,
-        site_class: &Arc<ClassInfo>,
-    ) -> Result<(), RuntimeError> {
-        let len = site_class.size() as usize;
-        let src_i = self
-            .shard_of(src)
-            .ok_or(RuntimeError::Heap(HeapError::Fault { addr: src, len }))?;
-        let dst_i = self
-            .shard_of(dst)
-            .ok_or(RuntimeError::Heap(HeapError::Fault { addr: dst, len }))?;
-        if src_i == dst_i {
-            return self.shard(src_i)?.olr_memcpy(dst, src, site_class);
-        }
-        // Index-ordered locking: every cross-shard copy acquires the
-        // lower-numbered shard first.
-        let (first, second) = (src_i.min(dst_i), src_i.max(dst_i));
-        let first_guard = self.shard(first)?;
-        let second_guard = self.shard(second)?;
-        let (mut src_rt, mut dst_rt) = if src_i < dst_i {
-            (first_guard, second_guard)
-        } else {
-            (second_guard, first_guard)
-        };
-        let (info, src_plan) = src_rt.copy_source(src, site_class)?;
-        let staged = src_rt.stage_fields(src, &src_plan)?;
-        dst_rt.install_copy(dst, info, &src_plan, &staged)
-    }
-
-    /// [`ObjectRuntime::check_traps`], routed by address.
-    ///
-    /// # Errors
-    ///
-    /// As for the single-thread call.
-    pub fn check_traps(&self, base: Addr) -> Result<Vec<crate::TrapReport>, RuntimeError> {
-        self.route(base, RuntimeError::UnknownObject(base))?.check_traps(base)
-    }
-
     /// Metadata snapshot for the object at `base` (cloned out of the
     /// owning shard), if tracked.
     pub fn object_meta(&self, base: Addr) -> Option<ObjectMeta> {
@@ -857,9 +602,11 @@ impl ShardedRuntime {
 
     /// Combined statistics: every shard's counters (each read under its
     /// lock, so per-shard numbers are internally consistent) plus the
-    /// facade's handle-side atomics. Exact at quiescence; while threads
-    /// are mid-operation each counter is individually exact but the
-    /// cross-counter view is approximate (see [`AtomicRuntimeStats`]).
+    /// handle-side counters flushed into the facade's atomics. A live
+    /// handle's unflushed counts are not included here; that handle's
+    /// own [`PolarRuntime::stats`] adds them. Exact at quiescence; while
+    /// threads are mid-operation each counter is individually exact but
+    /// the cross-counter view is approximate (see [`AtomicRuntimeStats`]).
     ///
     /// `unique_plans`/`dedup_saved` sum over *all* interners (one per
     /// shard + one per handle), so they bound metadata held, not global
@@ -868,7 +615,6 @@ impl ShardedRuntime {
         let mut total = RuntimeStats::default();
         for i in 0..self.shards.len() {
             total += self.shard_ignore_poison(i).stats();
-            self.fast[i].fold_into(&mut total);
         }
         // Snapshot the facade *after* visiting the shards: each visit
         // drains that shard's remote-free stack, and the drain counts
@@ -918,125 +664,6 @@ impl ShardedRuntime {
             None => Err(HeapError::Fault { addr, len }),
         }
     }
-
-    /// Raw (untracked) allocation on shard `shard % shard_count()` — the
-    /// sharded analogue of [`ObjectRuntime::malloc_raw`] for callers
-    /// embedding the facade as one execution context.
-    ///
-    /// # Errors
-    ///
-    /// Propagates heap errors.
-    pub fn malloc_raw_on(&self, shard: usize, size: usize) -> Result<Addr, RuntimeError> {
-        self.shard(shard % self.shards.len())?.malloc_raw(size)
-    }
-
-    /// Instrumented allocation on shard `shard % shard_count()`, using
-    /// the shard's own deterministic plan state rather than a per-thread
-    /// [`ShardHandle`]. Single-context embeddings (one logical thread
-    /// driving the whole facade) allocate this way.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ObjectRuntime::olr_malloc`].
-    pub fn olr_malloc_on(
-        &self,
-        shard: usize,
-        info: &Arc<ClassInfo>,
-    ) -> Result<Addr, RuntimeError> {
-        self.shard(shard % self.shards.len())?.olr_malloc(info)
-    }
-
-    /// [`ObjectRuntime::compile_time_plan`], delegated to shard 0. The
-    /// static-OLR table derives from the mode's binary seed, which every
-    /// shard shares, so any shard would answer identically.
-    pub fn compile_time_plan(&self, info: &Arc<ClassInfo>) -> Arc<polar_layout::LayoutPlan> {
-        self.shard_ignore_poison(0).compile_time_plan(info)
-    }
-
-    /// Raw free, routed by address.
-    ///
-    /// # Errors
-    ///
-    /// Propagates heap errors; addresses outside every shard window
-    /// report [`HeapError::InvalidFree`].
-    pub fn free_raw(&self, addr: Addr) -> Result<(), RuntimeError> {
-        self.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.free_raw(addr)
-    }
-
-    /// Arena-bounded raw read ([`SimHeap::read_uint`]), routed by
-    /// address. Like the single-heap primitive this deliberately ignores
-    /// block boundaries within a shard — it is the attack-model probe.
-    ///
-    /// [`SimHeap::read_uint`]: polar_simheap::SimHeap::read_uint
-    ///
-    /// # Errors
-    ///
-    /// Faults outside every shard window or past a shard's arena.
-    pub fn heap_read_uint(&self, addr: Addr, width: usize) -> Result<u64, HeapError> {
-        self.heap_shard(addr, width)?.heap().read_uint(addr, width)
-    }
-
-    /// A raw probe read with booby-trap screening, routed by address to
-    /// the owning shard (see [`ObjectRuntime::probe_read_uint`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::TrapTriggered`] when the probed range overlaps a
-    /// live object's canary-carrying dummy; faults as
-    /// [`RuntimeError::Heap`].
-    pub fn probe_read_uint(&self, addr: Addr, width: usize) -> Result<u64, RuntimeError> {
-        self.heap_shard(addr, width)?.probe_read_uint(addr, width)
-    }
-
-    /// Arena-bounded raw write, routed by address (the attack-model
-    /// corruption primitive; see [`ShardedRuntime::heap_read_uint`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::heap_read_uint`].
-    pub fn heap_write_uint(&self, addr: Addr, value: u64, width: usize) -> Result<(), HeapError> {
-        self.heap_shard(addr, width)?.heap_mut().write_uint(addr, value, width)
-    }
-
-    /// Arena-bounded raw byte write, routed by address.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::heap_read_uint`].
-    pub fn heap_write(&self, addr: Addr, bytes: &[u8]) -> Result<(), HeapError> {
-        self.heap_shard(addr, bytes.len())?.heap_mut().write(addr, bytes)
-    }
-
-    /// Raw `memmove`, routed by endpoint. Same-shard moves delegate to
-    /// the shard heap (overlap-safe); cross-shard moves stage through a
-    /// buffer — the windows are disjoint, so there is no overlap to
-    /// preserve and the two locks can be taken one at a time.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::heap_read_uint`] on either endpoint.
-    pub fn heap_memmove(&self, dst: Addr, src: Addr, len: usize) -> Result<(), HeapError> {
-        let src_i = self.shard_of(src).ok_or(HeapError::Fault { addr: src, len })?;
-        let dst_i = self.shard_of(dst).ok_or(HeapError::Fault { addr: dst, len })?;
-        if src_i == dst_i {
-            return self.heap_shard(src, len)?.heap_mut().memmove(dst, src, len);
-        }
-        let staged = self.heap_shard(src, len)?.heap().read_vec(src, len)?;
-        self.heap_shard(dst, len)?.heap_mut().write(dst, &staged)
-    }
-
-    /// Block-boundary check ([`SimHeap::read_in_block`]), routed by
-    /// address — the redzone-mode guard.
-    ///
-    /// [`SimHeap::read_in_block`]: polar_simheap::SimHeap::read_in_block
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::OutOfBlock`] for accesses crossing a block boundary,
-    /// plus routing faults.
-    pub fn heap_check_in_block(&self, addr: Addr, len: usize) -> Result<(), HeapError> {
-        self.heap_shard(addr, len)?.heap().check_in_block(addr, len)
-    }
 }
 
 /// Heap-allocator footprint summed over a [`ShardedRuntime`]'s shards
@@ -1081,9 +708,11 @@ fn thread_rng(root: u64, thread: u64) -> BufferedRng {
     BufferedRng::new(Xoshiro256StarStar::from_seed(seed))
 }
 
-/// One thread's view of a [`ShardedRuntime`]: thread-owned plan pools,
-/// interner and RNG (no lock needed to draw a plan), plus a home shard
-/// for allocations. Not `Sync` — create one handle per thread.
+/// One thread's view of a [`ShardedRuntime`], and the thread's only door
+/// into it: thread-owned plan pools, interner and RNG (no lock needed to
+/// draw a plan), a home shard for allocations, and every `olr_*` and
+/// raw-heap operation (the latter through [`PolarRuntime`]). Not `Sync`
+/// — create one handle per thread.
 #[derive(Debug)]
 pub struct ShardHandle<'rt> {
     rt: &'rt ShardedRuntime,
@@ -1092,16 +721,17 @@ pub struct ShardHandle<'rt> {
     interner: PlanInterner,
     pools: PlanPools,
     rng: BufferedRng,
-    /// Plain per-shard shape counters for this thread's lock-free
-    /// reads. A locked `fetch_add` is a full barrier on most hardware
-    /// and costs as much as the whole optimistic resolution, so the
-    /// handle counts into this unshared sheet and folds it into the
-    /// runtime's atomics in [`ShardHandle::flush_stats`] (called on
-    /// drop): one `fetch_add` per shape per flush, not per read.
-    /// Pending counts become visible to [`ShardedRuntime::stats`] at
-    /// the flush — dropping the handle before joining the thread (the
-    /// natural scoped-thread shape) keeps the global counts exact.
-    sheet: Box<[[u64; 8]]>,
+    /// Plain shape counters for this thread's lock-free reads (indexed
+    /// by the `SHAPE_*` constants). A locked `fetch_add` is a full
+    /// barrier on most hardware and costs as much as the whole
+    /// optimistic resolution, so the handle counts into this unshared
+    /// sheet and folds it into the runtime's atomics in
+    /// [`ShardHandle::flush_stats`] (called on drop). Pending counts
+    /// become visible to [`ShardedRuntime::stats`] at the flush —
+    /// dropping the handle before joining the thread (the natural
+    /// scoped-thread shape) keeps the global counts exact — and are
+    /// always included in this handle's own [`PolarRuntime::stats`].
+    sheet: [u64; 8],
     /// Per-class magazines of pre-reserved capsules (key =
     /// `ClassHash.0`). A handful of classes per workload makes the
     /// linear scan cheaper than hashing.
@@ -1112,20 +742,6 @@ pub struct ShardHandle<'rt> {
     /// the same batching discipline as `sheet`, for counters that do
     /// not fit the 8-shape read sheet.
     pending: RuntimeStats,
-}
-
-/// A handle's tally: plain increments into its per-thread sheet and
-/// pending stats, folded into the shared atomics at flush.
-impl Tally for ShardHandle<'_> {
-    #[inline]
-    fn read(&mut self, shard: usize, idx: usize) {
-        self.sheet[shard][idx] += 1;
-    }
-
-    #[inline]
-    fn add(&mut self, delta: &RuntimeStats) {
-        self.pending += *delta;
-    }
 }
 
 /// One class's magazine: reserved capsules awaiting their pop.
@@ -1258,46 +874,33 @@ impl ShardHandle<'_> {
         Ok(())
     }
 
-    /// Raw (untracked) buffer allocation on the home shard.
+    /// [`ObjectRuntime::olr_free`], routed by address (works on any
+    /// shard's objects, not just the home shard's). The free first
+    /// attempts the lock-free claim, counted into this handle's pending
+    /// sheet; every condition the fast path cannot classify falls back
+    /// to the owning shard's mutex.
     ///
     /// # Errors
     ///
-    /// Propagates heap errors.
-    pub fn malloc_raw(&mut self, size: usize) -> Result<Addr, RuntimeError> {
-        self.rt.shard(self.home)?.malloc_raw(size)
-    }
-
-    /// Raw free, routed by address.
-    ///
-    /// # Errors
-    ///
-    /// Propagates heap errors.
-    pub fn free_raw(&mut self, addr: Addr) -> Result<(), RuntimeError> {
-        self.rt
-            .route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?
-            .free_raw(addr)
-    }
-
-    /// [`ShardedRuntime::olr_free`] (address-routed; works on any
-    /// shard's objects, not just the home shard's), with the fast-free
-    /// counters batched into this handle's pending sheet instead of the
-    /// shared atomics.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::olr_free`].
+    /// As for the single-thread call; addresses outside every shard
+    /// window report [`HeapError::InvalidFree`].
     pub fn olr_free(&mut self, addr: Addr) -> Result<(), RuntimeError> {
-        let rt = self.rt;
-        rt.free_in(addr, self)
+        if let Some(scanned) = self.rt.fast_free(addr) {
+            self.pending.frees += 1;
+            self.pending.fast_frees += 1;
+            self.pending.trap_scans += u64::from(scanned);
+            return Ok(());
+        }
+        self.rt.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.olr_free(addr)
     }
 
-    /// [`ShardedRuntime::olr_getptr`], counted into this handle's
-    /// plain sheet instead of the shared atomics (see
-    /// [`ShardHandle::flush_stats`]).
+    /// [`ObjectRuntime::olr_getptr`], routed by address and counted into
+    /// this handle's plain sheet (see [`ShardHandle::flush_stats`]).
     ///
     /// # Errors
     ///
-    /// As for [`ShardedRuntime::olr_getptr`].
+    /// As for the single-thread call; unroutable addresses report
+    /// [`RuntimeError::UnknownObject`].
     #[inline]
     pub fn olr_getptr(
         &mut self,
@@ -1305,17 +908,15 @@ impl ShardHandle<'_> {
         expected: ClassHash,
         field: usize,
     ) -> Result<Addr, RuntimeError> {
-        let rt = self.rt;
-        rt.getptr_in(base, expected, field, None, self)
+        self.getptr(base, expected, field, None)
     }
 
-    /// [`ShardedRuntime::olr_getptr_ic`], counted into this handle's
-    /// plain sheet instead of the shared atomics (see
-    /// [`ShardHandle::flush_stats`]).
+    /// [`ObjectRuntime::olr_getptr_ic`], routed by address. The site
+    /// cache is the caller's (typically thread-local) storage.
     ///
     /// # Errors
     ///
-    /// As for [`ShardedRuntime::olr_getptr`].
+    /// As for [`ShardHandle::olr_getptr`].
     #[inline]
     pub fn olr_getptr_ic(
         &mut self,
@@ -1324,17 +925,50 @@ impl ShardHandle<'_> {
         field: usize,
         ic: &mut SiteCache,
     ) -> Result<Addr, RuntimeError> {
-        let rt = self.rt;
-        rt.getptr_in(base, expected, field, Some(ic), self)
+        self.getptr(base, expected, field, Some(ic))
     }
 
-    /// [`ShardedRuntime::read_field`], counted into this handle's
-    /// plain sheet instead of the shared atomics (see
-    /// [`ShardHandle::flush_stats`]).
+    /// The one `olr_getptr`/`olr_getptr_ic` body (the latter with `ic`):
+    /// resolve lock-free when the published snapshot allows, else take
+    /// the owning shard's mutex, whose path does all of its own counting
+    /// and error construction.
+    #[inline]
+    fn getptr(
+        &mut self,
+        base: Addr,
+        expected: ClassHash,
+        field: usize,
+        mut ic: Option<&mut SiteCache>,
+    ) -> Result<Addr, RuntimeError> {
+        let rt = self.rt;
+        let shard = rt.shard_of(base).ok_or(RuntimeError::UnknownObject(base))?;
+        for _ in 0..FAST_RETRIES {
+            match rt.fast_attempt(shard, base, expected, field, ic.as_deref_mut()) {
+                FastAttempt::Hit { addr, slot, shape, warmed, .. } => {
+                    self.sheet[rt.fast_idx(shard, slot, shape, warmed)] += 1;
+                    return Ok(addr);
+                }
+                FastAttempt::Fallback => break,
+                FastAttempt::Contended => std::hint::spin_loop(),
+            }
+        }
+        self.sheet[SHAPE_FALLBACK] += 1;
+        let mut locked = rt.shard(shard)?;
+        match ic {
+            Some(ic) => locked.olr_getptr_ic(base, expected, field, ic),
+            None => locked.olr_getptr(base, expected, field),
+        }
+    }
+
+    /// [`ObjectRuntime::read_field`], routed by address and counted as in
+    /// [`ShardHandle::olr_getptr`]: resolve, load the value from the
+    /// shared arena, then re-check the slot's sequence — an unchanged
+    /// sequence proves no writer window (field store, free, reuse)
+    /// overlapped the byte load, so the value is never torn.
     ///
     /// # Errors
     ///
-    /// As for [`ShardedRuntime::read_field`].
+    /// As for [`ShardHandle::olr_getptr`] plus heap faults.
     #[inline]
     pub fn read_field(
         &mut self,
@@ -1343,7 +977,42 @@ impl ShardHandle<'_> {
         field: usize,
     ) -> Result<u64, RuntimeError> {
         let rt = self.rt;
-        rt.read_field_in(base, expected, field, self)
+        let shard = rt.shard_of(base).ok_or(RuntimeError::UnknownObject(base))?;
+        for _ in 0..FAST_RETRIES {
+            match rt.fast_attempt(shard, base, expected, field, None) {
+                FastAttempt::Hit { addr, width, slot, seq, shape, warmed } => {
+                    let p = &rt.tables[shard];
+                    let Some(value) = p.read_uint(addr.0, width) else { break };
+                    if !p.recheck(slot, seq) {
+                        std::hint::spin_loop();
+                        continue; // torn load: retry from a fresh snapshot
+                    }
+                    self.sheet[rt.fast_idx(shard, slot, shape, warmed)] += 1;
+                    return Ok(value);
+                }
+                FastAttempt::Fallback => break,
+                FastAttempt::Contended => std::hint::spin_loop(),
+            }
+        }
+        self.sheet[SHAPE_FALLBACK] += 1;
+        rt.shard(shard)?.read_field(base, expected, field)
+    }
+
+    /// [`ObjectRuntime::write_field`], routed by address.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ShardHandle::olr_getptr`] plus heap faults.
+    pub fn write_field(
+        &mut self,
+        base: Addr,
+        expected: ClassHash,
+        field: usize,
+        value: u64,
+    ) -> Result<(), RuntimeError> {
+        self.rt
+            .route(base, RuntimeError::UnknownObject(base))?
+            .write_field(base, expected, field, value)
     }
 
     /// Fold this handle's pending counts — the lock-free read sheet and
@@ -1352,15 +1021,10 @@ impl ShardHandle<'_> {
     /// explicitly when [`ShardedRuntime::stats`] must observe this
     /// thread's operations while the handle stays alive.
     pub fn flush_stats(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
+        let mut pending = std::mem::take(&mut self.pending);
+        pending += sheet_stats(&std::mem::take(&mut self.sheet));
         if pending != RuntimeStats::default() {
             self.rt.facade.add(&pending);
-        }
-        for (shard, pending) in self.sheet.iter_mut().enumerate() {
-            if pending.iter().any(|&n| n != 0) {
-                self.rt.fast[shard].bump_many(pending);
-                *pending = [0; 8];
-            }
         }
     }
 
@@ -1379,54 +1043,182 @@ impl ShardHandle<'_> {
     /// This is the drop path, so it also runs during a panic unwind —
     /// counters are never lost and capsules are never leaked by a dying
     /// thread. The one exception is a *poisoned* home shard: its
-    /// capsules stay parked (returning them needs the degraded shard's
-    /// runtime), which costs the shard some blocks but keeps teardown
-    /// panic-free.
+    /// capsules stay parked in this handle, still counted by
+    /// [`ShardHandle::parked_capsules`] (returning them needs the
+    /// degraded shard's runtime), which costs the shard some blocks but
+    /// keeps teardown panic-free.
     pub fn teardown(&mut self) {
-        let magazines = std::mem::take(&mut self.magazines);
-        let parked: usize = magazines.iter().map(|(_, m)| m.caps.len()).sum();
-        if parked > 0 {
-            if let Ok(mut shard) = self.rt.shard(self.home) {
-                for (_, mag) in magazines {
+        if self.parked_capsules() > 0 {
+            let rt = self.rt;
+            if let Ok(mut shard) = rt.shard(self.home) {
+                for (_, mag) in self.magazines.drain(..) {
                     for cap in &mag.caps {
                         shard.retire_reserved(cap.slot);
                     }
+                    self.pending.magazine_returns += mag.caps.len() as u64;
                 }
-                self.pending.magazine_returns += parked as u64;
             }
         }
         self.flush_stats();
     }
+}
 
-    /// [`ShardedRuntime::write_field`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::write_field`].
-    pub fn write_field(
+/// The handle is the sharded runtime's [`PolarRuntime`]: the instrumented
+/// operations are the handle's own, and the address-keyed ones route to
+/// whichever shard owns the address, so objects on any shard — including
+/// cross-shard `olr_memcpy` duplicates — behave as they would under any
+/// other handle.
+impl PolarRuntime for ShardHandle<'_> {
+    fn config(&self) -> &RuntimeConfig {
+        self.rt.config()
+    }
+
+    /// The runtime's totals plus this handle's unflushed counts, so a
+    /// single-context caller sees exact statistics before the handle is
+    /// flushed or dropped.
+    fn stats(&self) -> RuntimeStats {
+        let mut total = self.rt.stats();
+        total += self.pending;
+        total += sheet_stats(&self.sheet);
+        total
+    }
+
+    /// The static-OLR table derives from the mode's binary seed, which
+    /// every shard shares, so the home shard answers for all of them.
+    fn compile_time_plan(&mut self, info: &Arc<ClassInfo>) -> Arc<LayoutPlan> {
+        self.rt.shard_ignore_poison(self.home).compile_time_plan(info)
+    }
+
+    fn olr_malloc(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
+        ShardHandle::olr_malloc(self, info)
+    }
+
+    fn olr_free(&mut self, base: Addr) -> Result<(), RuntimeError> {
+        ShardHandle::olr_free(self, base)
+    }
+
+    fn olr_getptr_ic(
+        &mut self,
+        base: Addr,
+        expected: ClassHash,
+        field: usize,
+        ic: &mut SiteCache,
+    ) -> Result<Addr, RuntimeError> {
+        ShardHandle::olr_getptr_ic(self, base, expected, field, ic)
+    }
+
+    /// Same-shard copies delegate under one lock; cross-shard copies
+    /// stage the source fields on the source shard, then install the
+    /// duplicate on the destination shard. Both locks are taken in
+    /// shard-index order so concurrent copies in opposite directions
+    /// cannot deadlock.
+    fn olr_memcpy(
+        &mut self,
+        dst: Addr,
+        src: Addr,
+        site_class: &Arc<ClassInfo>,
+    ) -> Result<(), RuntimeError> {
+        let rt = self.rt;
+        let len = site_class.size() as usize;
+        let fault = |addr| RuntimeError::Heap(HeapError::Fault { addr, len });
+        let src_i = rt.shard_of(src).ok_or_else(|| fault(src))?;
+        let dst_i = rt.shard_of(dst).ok_or_else(|| fault(dst))?;
+        if src_i == dst_i {
+            return rt.shard(src_i)?.olr_memcpy(dst, src, site_class);
+        }
+        // Index-ordered locking: every cross-shard copy acquires the
+        // lower-numbered shard first.
+        let first_guard = rt.shard(src_i.min(dst_i))?;
+        let second_guard = rt.shard(src_i.max(dst_i))?;
+        let (mut src_rt, mut dst_rt) = if src_i < dst_i {
+            (first_guard, second_guard)
+        } else {
+            (second_guard, first_guard)
+        };
+        let (info, src_plan) = src_rt.copy_source(src, site_class)?;
+        let staged = src_rt.stage_fields(src, &src_plan)?;
+        dst_rt.install_copy(dst, info, &src_plan, &staged)
+    }
+
+    fn read_field(
+        &mut self,
+        base: Addr,
+        expected: ClassHash,
+        field: usize,
+    ) -> Result<u64, RuntimeError> {
+        ShardHandle::read_field(self, base, expected, field)
+    }
+
+    fn write_field(
         &mut self,
         base: Addr,
         expected: ClassHash,
         field: usize,
         value: u64,
     ) -> Result<(), RuntimeError> {
-        self.rt.write_field(base, expected, field, value)
+        ShardHandle::write_field(self, base, expected, field, value)
     }
 
-    /// [`ShardedRuntime::olr_memcpy`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::olr_memcpy`].
-    pub fn olr_memcpy(
-        &mut self,
-        dst: Addr,
-        src: Addr,
-        site_class: &Arc<ClassInfo>,
-    ) -> Result<(), RuntimeError> {
-        self.rt.olr_memcpy(dst, src, site_class)
+    fn check_traps(&mut self, base: Addr) -> Result<Vec<TrapReport>, RuntimeError> {
+        self.rt.route(base, RuntimeError::UnknownObject(base))?.check_traps(base)
+    }
+
+    fn plan_size(&self, base: Addr) -> Option<u32> {
+        self.rt.object_meta(base).map(|meta| meta.plan.size())
+    }
+
+    /// Raw allocations come from the home shard; a poisoned home shard
+    /// reports itself as out of memory (the heap API speaks
+    /// `HeapError`).
+    fn heap_malloc(&mut self, size: usize) -> Result<Addr, HeapError> {
+        let mut shard =
+            self.rt.shard(self.home).map_err(|_| HeapError::OutOfMemory { requested: size })?;
+        shard.heap_mut().malloc(size)
+    }
+
+    fn heap_free(&mut self, addr: Addr) -> Result<(), HeapError> {
+        let shard = self.rt.shard_of(addr).and_then(|i| self.rt.shard(i).ok());
+        shard.ok_or(HeapError::InvalidFree(addr))?.heap_mut().free(addr)
+    }
+
+    /// Like the single-heap primitive this deliberately ignores block
+    /// boundaries within a shard — it is the attack-model probe.
+    fn heap_read_uint(&self, addr: Addr, width: usize) -> Result<u64, HeapError> {
+        self.rt.heap_shard(addr, width)?.heap().read_uint(addr, width)
+    }
+
+    fn probe_read_uint(&mut self, addr: Addr, width: usize) -> Result<u64, RuntimeError> {
+        self.rt.heap_shard(addr, width)?.probe_read_uint(addr, width)
+    }
+
+    fn heap_write_uint(&mut self, addr: Addr, value: u64, width: usize) -> Result<(), HeapError> {
+        self.rt.heap_shard(addr, width)?.heap_mut().write_uint(addr, value, width)
+    }
+
+    fn heap_write(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), HeapError> {
+        self.rt.heap_shard(addr, bytes.len())?.heap_mut().write(addr, bytes)
+    }
+
+    /// Same-shard moves delegate to the shard heap (overlap-safe);
+    /// cross-shard moves stage through a buffer — the windows are
+    /// disjoint, so there is no overlap to preserve and the two locks
+    /// can be taken one at a time.
+    fn heap_memmove(&mut self, dst: Addr, src: Addr, len: usize) -> Result<(), HeapError> {
+        let rt = self.rt;
+        let src_i = rt.shard_of(src).ok_or(HeapError::Fault { addr: src, len })?;
+        let dst_i = rt.shard_of(dst).ok_or(HeapError::Fault { addr: dst, len })?;
+        if src_i == dst_i {
+            return rt.heap_shard(src, len)?.heap_mut().memmove(dst, src, len);
+        }
+        let staged = rt.heap_shard(src, len)?.heap().read_vec(src, len)?;
+        rt.heap_shard(dst, len)?.heap_mut().write(dst, &staged)
+    }
+
+    fn heap_check_in_block(&self, addr: Addr, len: usize) -> Result<(), HeapError> {
+        self.rt.heap_shard(addr, len)?.heap().check_in_block(addr, len)
     }
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -1464,7 +1256,7 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_facade_behaves_like_object_runtime() {
+    fn single_shard_handle_behaves_like_object_runtime() {
         let rt = sharded(1);
         let info = people();
         let mut h = rt.handle(0);
@@ -1472,13 +1264,13 @@ mod tests {
         h.write_field(obj, info.hash(), 1, 30).unwrap();
         h.write_field(obj, info.hash(), 2, 170).unwrap();
         assert_eq!(h.read_field(obj, info.hash(), 1).unwrap(), 30);
-        assert_eq!(rt.read_field(obj, info.hash(), 2).unwrap(), 170);
-        rt.olr_free(obj).unwrap();
+        assert_eq!(h.read_field(obj, info.hash(), 2).unwrap(), 170);
+        h.olr_free(obj).unwrap();
         assert!(matches!(
-            rt.olr_getptr(obj, info.hash(), 1).unwrap_err(),
+            h.olr_getptr(obj, info.hash(), 1).unwrap_err(),
             RuntimeError::UseAfterFree { .. }
         ));
-        assert!(matches!(rt.olr_free(obj).unwrap_err(), RuntimeError::DoubleFree(_)));
+        assert!(matches!(h.olr_free(obj).unwrap_err(), RuntimeError::DoubleFree(_)));
         h.flush_stats();
         let stats = rt.stats();
         assert_eq!(stats.allocations, 1);
@@ -1498,17 +1290,18 @@ mod tests {
                 h.home_shard(),
                 "allocation must land in the handle's home shard window"
             );
-            // Any thread can free any address: routing is by address.
-            rt.olr_free(obj).unwrap();
+            // Any handle can free any address: routing is by address.
+            rt.handle(t + 1).olr_free(obj).unwrap();
         }
         // Unroutable addresses fail cleanly instead of hitting shard 0.
+        let mut h = rt.handle(0);
         let wild = Addr(rt.shard_span() * 5);
         assert!(matches!(
-            rt.olr_getptr(wild, info.hash(), 0).unwrap_err(),
+            h.olr_getptr(wild, info.hash(), 0).unwrap_err(),
             RuntimeError::UnknownObject(_)
         ));
         assert!(matches!(
-            rt.olr_free(wild).unwrap_err(),
+            h.olr_free(wild).unwrap_err(),
             RuntimeError::Heap(HeapError::InvalidFree(_))
         ));
         assert!(rt.object_meta(Addr::NULL).is_none());
@@ -1523,24 +1316,24 @@ mod tests {
         let src = h0.olr_malloc(&info).unwrap();
         h0.write_field(src, info.hash(), 1, 41).unwrap();
         h0.write_field(src, info.hash(), 2, 182).unwrap();
-        let dst = h1.malloc_raw(128).unwrap();
+        let dst = h1.heap_malloc(128).unwrap();
         assert_ne!(
             (src.0 / rt.shard_span()) as usize,
             (dst.0 / rt.shard_span()) as usize,
             "test requires endpoints on different shards"
         );
         // Both directions, so both lock orders are exercised.
-        rt.olr_memcpy(dst, src, &info).unwrap();
-        assert_eq!(rt.read_field(dst, info.hash(), 1).unwrap(), 41);
-        assert_eq!(rt.read_field(dst, info.hash(), 2).unwrap(), 182);
-        rt.write_field(dst, info.hash(), 1, 99).unwrap();
-        rt.olr_memcpy(src, dst, &info).unwrap();
-        assert_eq!(rt.read_field(src, info.hash(), 1).unwrap(), 99);
-        assert_eq!(rt.stats().memcpys, 2);
+        h0.olr_memcpy(dst, src, &info).unwrap();
+        assert_eq!(h0.read_field(dst, info.hash(), 1).unwrap(), 41);
+        assert_eq!(h0.read_field(dst, info.hash(), 2).unwrap(), 182);
+        h1.write_field(dst, info.hash(), 1, 99).unwrap();
+        h1.olr_memcpy(src, dst, &info).unwrap();
+        assert_eq!(h1.read_field(src, info.hash(), 1).unwrap(), 99);
+        assert_eq!(h0.stats().memcpys, 2);
         // A freed cross-shard source is still UAF-detected.
-        rt.olr_free(dst).unwrap();
+        h1.olr_free(dst).unwrap();
         assert!(matches!(
-            rt.olr_memcpy(src, dst, &info).unwrap_err(),
+            h0.olr_memcpy(src, dst, &info).unwrap_err(),
             RuntimeError::UseAfterFree { .. }
         ));
     }
@@ -1725,21 +1518,21 @@ mod tests {
     /// free either way, and the new trap counters fold across shards.
     #[test]
     fn cross_shard_memcpy_preserves_trap_detection_parity() {
-        fn corrupt_and_free(rt: &ShardedRuntime, dst: Addr) -> bool {
-            let Some(meta) = rt.object_meta(dst) else {
+        fn corrupt_and_free(h: &mut ShardHandle<'_>, dst: Addr) -> bool {
+            let Some(meta) = h.runtime().object_meta(dst) else {
                 panic!("copy destination must be tracked after olr_memcpy");
             };
             let Some(dummy) = meta.plan.dummies().iter().find(|d| d.canary.is_some()) else {
                 // This draw carried no canaried dummy; clean free, retry.
-                rt.olr_free(dst).unwrap();
+                h.olr_free(dst).unwrap();
                 return false;
             };
             let slot = dst.offset(u64::from(dummy.offset));
             // Flip the canary's low byte so the scan cannot miss it.
-            let cur = rt.heap_read_uint(slot, 1).unwrap();
-            rt.heap_write_uint(slot, !cur & 0xFF, 1).unwrap();
+            let cur = h.heap_read_uint(slot, 1).unwrap();
+            h.heap_write_uint(slot, !cur & 0xFF, 1).unwrap();
             assert!(
-                matches!(rt.olr_free(dst).unwrap_err(), RuntimeError::TrapTriggered(_)),
+                matches!(h.olr_free(dst).unwrap_err(), RuntimeError::TrapTriggered(_)),
                 "corrupted duplicate dummy must trip the free-path trap scan"
             );
             true
@@ -1756,16 +1549,16 @@ mod tests {
         for (cross, handle) in [(false, &mut h0), (true, &mut h1)] {
             let mut proved = false;
             for _ in 0..64 {
-                let dst = handle.malloc_raw(info.size() as usize + 64).unwrap();
+                let dst = handle.heap_malloc(info.size() as usize + 64).unwrap();
                 assert_eq!(
                     (dst.0 / rt.shard_span()) as usize != src_shard,
                     cross,
                     "destination must be {} the source shard",
                     if cross { "outside" } else { "inside" }
                 );
-                rt.olr_memcpy(dst, src, &info).unwrap();
-                assert_eq!(rt.read_field(dst, info.hash(), 1).unwrap(), 5);
-                if corrupt_and_free(&rt, dst) {
+                handle.olr_memcpy(dst, src, &info).unwrap();
+                assert_eq!(handle.read_field(dst, info.hash(), 1).unwrap(), 5);
+                if corrupt_and_free(handle, dst) {
                     proved = true;
                     break;
                 }
@@ -1784,7 +1577,7 @@ mod tests {
     }
 
     #[test]
-    fn in_place_memcpy_works_through_the_facade() {
+    fn in_place_memcpy_works_through_a_handle() {
         // The overlap fix holds on the sharded path too (same-shard
         // delegation uses the staged single-runtime copy).
         let rt = sharded(2);
@@ -1793,9 +1586,9 @@ mod tests {
         let obj = h.olr_malloc(&info).unwrap();
         h.write_field(obj, info.hash(), 1, 7).unwrap();
         h.write_field(obj, info.hash(), 2, 9).unwrap();
-        rt.olr_memcpy(obj, obj, &info).unwrap();
-        assert_eq!(rt.read_field(obj, info.hash(), 1).unwrap(), 7);
-        assert_eq!(rt.read_field(obj, info.hash(), 2).unwrap(), 9);
+        h.olr_memcpy(obj, obj, &info).unwrap();
+        assert_eq!(h.read_field(obj, info.hash(), 1).unwrap(), 7);
+        assert_eq!(h.read_field(obj, info.hash(), 2).unwrap(), 9);
     }
 
     /// The lock-free read path serves plain, inline-cached and
@@ -1810,23 +1603,23 @@ mod tests {
         h.write_field(obj, info.hash(), 1, 23).unwrap();
         h.write_field(obj, info.hash(), 2, 99).unwrap();
 
-        let before = rt.stats();
+        let before = h.stats();
         let mut ic = SiteCache::empty();
         for _ in 0..10 {
-            assert_eq!(rt.read_field(obj, info.hash(), 1).unwrap(), 23);
-            let via_plain = rt.olr_getptr(obj, info.hash(), 2).unwrap();
-            let via_ic = rt.olr_getptr_ic(obj, info.hash(), 2, &mut ic).unwrap();
+            assert_eq!(h.read_field(obj, info.hash(), 1).unwrap(), 23);
+            let via_plain = h.olr_getptr(obj, info.hash(), 2).unwrap();
+            let via_ic = h.olr_getptr_ic(obj, info.hash(), 2, &mut ic).unwrap();
             assert_eq!(via_plain, via_ic, "both paths must resolve the same address");
         }
         let delta = {
-            let mut d = rt.stats();
+            let mut d = h.stats();
             d.member_accesses -= before.member_accesses;
             d.lockfree_reads -= before.lockfree_reads;
             d.cache_hits -= before.cache_hits;
             d.site_ic_hits -= before.site_ic_hits;
             d
         };
-        assert_eq!(delta.member_accesses, 30, "every facade read is one member access");
+        assert_eq!(delta.member_accesses, 30, "every handle read is one member access");
         assert_eq!(
             delta.lockfree_reads, 30,
             "an uncontended single thread must never fall back: {delta:?}"
@@ -1838,12 +1631,12 @@ mod tests {
         assert_eq!(delta.cache_hits, 30);
 
         // Detections still work (via fallback to the locked path).
-        rt.olr_free(obj).unwrap();
+        h.olr_free(obj).unwrap();
         assert!(matches!(
-            rt.read_field(obj, info.hash(), 1).unwrap_err(),
+            h.read_field(obj, info.hash(), 1).unwrap_err(),
             RuntimeError::UseAfterFree { .. }
         ));
-        let after = rt.stats();
+        let after = h.stats();
         assert_eq!(after.uaf_detected, 1);
         assert!(after.lockfree_fallbacks > 0, "the freed read must have fallen back");
     }
@@ -1862,7 +1655,7 @@ mod tests {
         let objects: Vec<Addr> = (0..OBJECTS).map(|_| h.olr_malloc(&info).unwrap()).collect();
         for &obj in &objects {
             for field in 0..info.field_count() {
-                rt.write_field(obj, info.hash(), field, 0).unwrap();
+                h.write_field(obj, info.hash(), field, 0).unwrap();
             }
         }
         let stop = std::sync::atomic::AtomicBool::new(false);
@@ -1884,6 +1677,7 @@ mod tests {
             let readers: Vec<_> = (0..READERS)
                 .map(|r| {
                     scope.spawn(move || {
+                        let mut h = rt.handle(2 + r as u64);
                         let mut driver = SplitMix64::new(0x4EAD + r as u64);
                         let mut n = 0u64;
                         // Floor of 1000 reads per reader: on a single
@@ -1895,7 +1689,7 @@ mod tests {
                         while !stop.load(std::sync::atomic::Ordering::Acquire) || n < 1_000 {
                             let obj = objects[driver.random_range(0..OBJECTS)];
                             let field = driver.random_range(0..2usize);
-                            let v = rt.read_field(obj, info.hash(), field).unwrap();
+                            let v = h.read_field(obj, info.hash(), field).unwrap();
                             assert_eq!(
                                 v >> 32,
                                 v & 0xFFFF_FFFF,
@@ -1914,7 +1708,7 @@ mod tests {
         assert_eq!(
             stats.lockfree_reads + stats.lockfree_fallbacks,
             attempts,
-            "every facade read attempt must be counted exactly once"
+            "every handle read attempt must be counted exactly once"
         );
         assert!(
             stats.lockfree_reads > 0,
@@ -1968,6 +1762,7 @@ mod tests {
                 stop.store(true, std::sync::atomic::Ordering::Release);
             });
             let reader = scope.spawn(move || {
+                let mut h = rt.handle(1);
                 let mut driver = SplitMix64::new(0x5EE5);
                 let mut probes = 0u64;
                 // Same 1000-probe floor as the torn-read torture: the
@@ -1975,7 +1770,7 @@ mod tests {
                 while !stop.load(std::sync::atomic::Ordering::Acquire) || probes < 1_000 {
                     probes += 1;
                     let obj = seed_objs[driver.random_range(0..seed_objs.len())];
-                    match rt.read_field(obj, info.hash(), 1) {
+                    match h.read_field(obj, info.hash(), 1) {
                         Ok(_) => {}
                         Err(
                             RuntimeError::UseAfterFree { .. }
@@ -2025,29 +1820,26 @@ mod tests {
         h.write_field(keep, info.hash(), 1, 77).unwrap();
         let victim = (obj.0 / rt.shard_span()) as usize;
 
-        // Poison the victim shard's mutex by panicking while holding it.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = rt.shards[victim].lock().unwrap();
-            panic!("simulated shard death");
-        }));
+        poison(&rt, victim);
 
-        // Mutating paths on the poisoned shard report the typed error.
+        // Mutating paths on the poisoned shard report the typed error: a
+        // fresh handle homed there cannot refill its magazine.
         assert!(matches!(
-            rt.olr_malloc_on(victim, &info).unwrap_err(),
+            rt.handle(victim as u64).olr_malloc(&info).unwrap_err(),
             RuntimeError::ShardPoisoned { shard } if shard == victim
         ));
         // The lock-free free path stays available on the degraded shard
         // (claim + remote push, no mutex)...
-        rt.olr_free(obj).unwrap();
+        h.olr_free(obj).unwrap();
         // ...while a free the fast path cannot classify (here: a double
         // free) falls back to the mutex and reports the degradation.
         assert!(matches!(
-            rt.olr_free(obj).unwrap_err(),
+            h.olr_free(obj).unwrap_err(),
             RuntimeError::ShardPoisoned { shard } if shard == victim
         ));
         // The other shard keeps working.
         let alive = (victim + 1) % rt.shard_count();
-        rt.olr_malloc_on(alive, &info).unwrap();
+        rt.handle(alive as u64).olr_malloc(&info).unwrap();
         // Observability stays available (poison ignored)...
         h.flush_stats();
         assert!(rt.stats().allocations >= 3);
@@ -2055,7 +1847,37 @@ mod tests {
         assert!(rt.object_meta(keep).is_some());
         assert!(rt.estimated_metadata_bytes() > 0);
         // ...and the lock-free read path never touches the mutex at all.
-        assert_eq!(rt.read_field(keep, info.hash(), 1).unwrap(), 77);
+        assert_eq!(h.read_field(keep, info.hash(), 1).unwrap(), 77);
+    }
+
+    /// Poison shard `i`'s mutex by panicking while holding it.
+    fn poison(rt: &ShardedRuntime, i: usize) {
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = rt.shards[i].lock().unwrap();
+            panic!("simulated shard death");
+        }));
+    }
+
+    /// Teardown on a poisoned home shard cannot return the parked
+    /// capsules, so the handle must keep tracking them: every heap block
+    /// is still held by a live object or a parked capsule.
+    #[test]
+    fn teardown_on_a_poisoned_home_shard_keeps_capsules_parked() {
+        let rt = sharded(1);
+        let info = people();
+        let mut h = rt.handle(0);
+        let live = [h.olr_malloc(&info).unwrap(), h.olr_malloc(&info).unwrap()];
+        let parked = h.parked_capsules();
+        assert!(parked > 0, "a refill parks the rest of its batch");
+        poison(&rt, 0);
+        h.teardown();
+        assert_eq!(h.parked_capsules(), parked, "unreturned capsules must stay parked");
+        let footprint = rt.heap_footprint();
+        assert_eq!(
+            footprint.heap_allocs - footprint.heap_frees,
+            (live.len() + h.parked_capsules()) as u64,
+            "only live objects and parked capsules may hold heap blocks"
+        );
     }
 
     #[test]
@@ -2200,15 +2022,15 @@ mod tests {
         let info = people();
         let mut h = rt.handle(0);
         for _ in 0..OLD_CAP {
-            h.malloc_raw(16).unwrap();
+            h.heap_malloc(16).unwrap();
         }
         let obj = h.olr_malloc(&info).unwrap();
         let (slot, _) = rt.shards[0].lock().unwrap().heap().slot_gen(obj).unwrap();
         assert!(slot as usize >= OLD_CAP, "slot {slot} must lie past the old cap");
         h.write_field(obj, info.hash(), 1, 42).unwrap();
-        let before = rt.stats();
-        assert_eq!(rt.read_field(obj, info.hash(), 1).unwrap(), 42);
-        let after = rt.stats();
+        let before = h.stats();
+        assert_eq!(h.read_field(obj, info.hash(), 1).unwrap(), 42);
+        let after = h.stats();
         assert_eq!(after.lockfree_reads - before.lockfree_reads, 1);
         assert_eq!(after.lockfree_fallbacks, before.lockfree_fallbacks, "no mutex fallback");
     }
@@ -2251,12 +2073,15 @@ mod tests {
                 stop.store(true, std::sync::atomic::Ordering::Release);
             });
             let freers: Vec<_> = (0..FREERS)
-                .map(|_| {
-                    scope.spawn(move || loop {
-                        let next = rx.lock().unwrap().recv();
-                        match next {
-                            Ok(addr) => rt.olr_free(addr).unwrap(),
-                            Err(_) => break, // owner hung up: all freed
+                .map(|f| {
+                    scope.spawn(move || {
+                        let mut h = rt.handle(1 + f as u64);
+                        loop {
+                            let next = rx.lock().unwrap().recv();
+                            match next {
+                                Ok(addr) => h.olr_free(addr).unwrap(),
+                                Err(_) => break, // owner hung up: all freed
+                            }
                         }
                     })
                 })
@@ -2264,12 +2089,13 @@ mod tests {
             let readers: Vec<_> = (0..READERS)
                 .map(|r| {
                     scope.spawn(move || {
+                        let mut h = rt.handle(3 + r as u64);
                         let mut driver = SplitMix64::new(0x4EAD + r as u64);
                         let mut n = 0u64;
                         while !stop.load(std::sync::atomic::Ordering::Acquire) || n < 1_000 {
                             let obj = stable[driver.random_range(0..stable.len())];
                             let field = driver.random_range(0..2usize);
-                            let v = rt.read_field(obj, info.hash(), field).unwrap();
+                            let v = h.read_field(obj, info.hash(), field).unwrap();
                             assert_eq!(v >> 32, v & 0xFFFF_FFFF, "torn read on reader {r}");
                             n += 1;
                         }

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 
 use polar_check::{any, just, one_of, vec as vec_of, Config, StrategyExt};
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
-use polar_runtime::{Addr, RandomizeMode, RuntimeConfig, ShardedRuntime};
+use polar_runtime::{Addr, PolarRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime};
 use polar_simheap::{PubSnapshot, SnapshotOutcome, PUB_STATE_LIVE};
 use std::sync::Arc;
 
@@ -109,6 +109,9 @@ fn seqlock_interleaving(ops: &Vec<Op>) -> Result<(), String> {
     let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), config, 2);
     let info = test_class();
     let hash = info.hash();
+    // Frees, writes, copies and reads go through one handle; each malloc
+    // takes a fresh one, whose drop returns its unused capsules.
+    let mut h = rt.handle(1);
 
     let mut live: Vec<Addr> = Vec::new();
     let mut freed: Vec<Addr> = Vec::new();
@@ -131,19 +134,19 @@ fn seqlock_interleaving(ops: &Vec<Op>) -> Result<(), String> {
             }
             Op::Free(i) if !live.is_empty() => {
                 let obj = live.remove(i % live.len());
-                rt.olr_free(obj).map_err(|e| format!("free failed: {e}"))?;
+                h.olr_free(obj).map_err(|e| format!("free failed: {e}"))?;
                 freed.push(obj);
                 Some(obj)
             }
             Op::Write(i, f, v) if !live.is_empty() => {
                 let obj = live[i % live.len()];
-                rt.write_field(obj, hash, 1 + f % 3, *v)
+                h.write_field(obj, hash, 1 + f % 3, *v)
                     .map_err(|e| format!("write failed: {e}"))?;
                 Some(obj)
             }
             Op::Remalloc(i) if !live.is_empty() => {
                 let obj = live[i % live.len()];
-                rt.olr_memcpy(obj, obj, &info)
+                h.olr_memcpy(obj, obj, &info)
                     .map_err(|e| format!("rerandomize failed: {e}"))?;
                 Some(obj)
             }
@@ -203,7 +206,7 @@ fn seqlock_interleaving(ops: &Vec<Op>) -> Result<(), String> {
                 ));
             }
             for field in 1..info.field_count() {
-                let served = rt
+                let served = h
                     .olr_getptr(addr, hash, field)
                     .map_err(|e| format!("getptr({addr:?}, {field}) failed on live object: {e}"))?;
                 let access = plan

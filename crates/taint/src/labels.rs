@@ -62,10 +62,8 @@ impl LabelTable {
         if self.defs.len() >= usize::from(u16::MAX) - 1 {
             // Capacity exhausted: saturate (DFSan aborts here; we degrade
             // gracefully so fuzzing campaigns keep running).
-            return *self.exhausted.get_or_insert_with(|| {
-                // One slot is reserved above so this push always fits.
-                Label(u16::MAX)
-            });
+            // One slot is reserved above so this push always fits.
+            return *self.exhausted.get_or_insert(Label(u16::MAX));
         }
         self.defs.push(def);
         Label(self.defs.len() as u16)

@@ -154,10 +154,11 @@ impl<'r> TaintTracker<'r> {
         for (i, field) in info.fields().iter().enumerate() {
             let f_lo = base + u64::from(info.natural().offset(i));
             let f_len = field.kind().size() as usize;
-            if f_lo >= dst.0.saturating_sub(f_len as u64) && f_lo < copy_end {
-                if self.shadow.any_tainted(Addr(f_lo), f_len) {
-                    self.report.record_content(ext.class, i as u16);
-                }
+            if f_lo >= dst.0.saturating_sub(f_len as u64)
+                && f_lo < copy_end
+                && self.shadow.any_tainted(Addr(f_lo), f_len)
+            {
+                self.report.record_content(ext.class, i as u16);
             }
         }
     }

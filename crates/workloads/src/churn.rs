@@ -2,8 +2,9 @@
 //!
 //! The IR interpreter is single-threaded, so the concurrency experiments
 //! of DESIGN §3.3 cannot reuse the mini-SPEC programs. This module
-//! drives [`ShardedRuntime`] directly: `threads` OS threads each run a
-//! seeded mix of `olr_malloc` / field writes / field reads / `olr_memcpy`
+//! drives a [`ShardedRuntime`] through per-thread handles — a thread's
+//! only door into the runtime: `threads` OS threads each run a seeded
+//! mix of `olr_malloc` / field writes / field reads / `olr_memcpy`
 //! / `olr_free` against their own oracle of expected field values, so the
 //! workload doubles as a cross-thread correctness check — any lost
 //! update, mis-routed address or cross-thread plan leak turns into an
@@ -17,7 +18,9 @@
 use std::sync::Arc;
 
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
-use polar_runtime::{Addr, RandomizeMode, RuntimeConfig, RuntimeStats, ShardedRuntime};
+use polar_runtime::{
+    Addr, PolarRuntime, RandomizeMode, RuntimeConfig, RuntimeStats, ShardedRuntime,
+};
 use polar_rng::{Rng, RngExt, SplitMix64};
 
 /// Shape of a churn run.

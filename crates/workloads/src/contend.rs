@@ -137,9 +137,13 @@ pub fn run_contend(mode: RandomizeMode, config: ContendConfig) -> ContendReport 
         }
     });
 
+    // The drain's handle drops (flushing its counts) before the stats
+    // snapshot below.
+    let mut h = rt.handle(0);
     for obj in objects {
-        rt.olr_free(obj).expect("contend drain free");
+        h.olr_free(obj).expect("contend drain free");
     }
+    drop(h);
     ContendReport {
         stats: rt.stats(),
         reads: reads.into_inner(),
@@ -200,12 +204,12 @@ mod tests {
         assert!(report.writes > 0);
         assert_eq!(report.reads + report.writes, 8_000);
         assert_eq!(report.stats.total_detections(), 0);
-        // Exactly one shape-counter bump per facade read attempt: the
+        // Exactly one shape-counter bump per handle read attempt: the
         // optimistic hits and the mutex fallbacks partition the reads.
         assert_eq!(
             report.stats.lockfree_reads + report.stats.lockfree_fallbacks,
             report.reads,
-            "every facade read resolves as exactly one fast hit or fallback"
+            "every handle read resolves as exactly one fast hit or fallback"
         );
         assert!(report.lockfree_share().is_some());
     }

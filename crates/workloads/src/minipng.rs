@@ -538,7 +538,7 @@ mod tests {
         // 64+24 land on row_fn's natural location.
         let png = build();
         let mut payload = vec![32u8];
-        payload.extend(std::iter::repeat(0u8).take(96));
+        payload.extend(std::iter::repeat_n(0u8, 96));
         let target = (PALETTE_BLOCK + ROW_FN_NATURAL_OFFSET) as usize;
         for k in 0..8 {
             payload[1 + target + k] = 0x41;

@@ -3,9 +3,10 @@
 //! This is the ROADMAP's north-star scenario made executable: an
 //! in-memory session/KV store holding a large population of live
 //! randomized objects while serving Zipf-skewed lookup/update/refresh
-//! traffic from several threads. Like [`crate::churn`], it drives
+//! traffic from several threads. Like [`crate::churn`], it drives a
 //! [`ShardedRuntime`] directly (the IR interpreter is single-threaded),
-//! and every read is checked against a per-thread oracle, so the
+//! each thread through its own handle — a thread's only door into the
+//! runtime — and every read is checked against a per-thread oracle, so the
 //! workload is simultaneously a throughput benchmark and a correctness
 //! stress for the magazine front-end: a stale capsule, a lost
 //! generation bump or a mis-drained remote free turns into an oracle

@@ -48,7 +48,7 @@ pub fn workload() -> Workload {
     let build = begin_for_n(&mut f, bb, RECORDS);
     let kind = f.bini(build.body, BinOp::Rem, build.i, TAINTED_CLASSES.len() as u64);
     // Each record summarizes one board vertex (tainted content).
-    let vertex = f.bini(build.body, BinOp::Rem, build.i, 512.min(64));
+    let vertex = f.bini(build.body, BinOp::Rem, build.i, 64);
     let vaddr = f.bin(build.body, BinOp::Add, board, vertex);
     let stone = f.load(build.body, vaddr, 1);
 

@@ -98,6 +98,54 @@ pub fn mix(f: &mut FunctionBuilder, bb: BlockId, v: Reg) -> Reg {
     f.bin(bb, BinOp::Xor, x1, s2)
 }
 
+/// Build a `switch (kind)` dispatch chain over `classes`: for each class
+/// an arm block is created, `body` fills it in, and all arms converge on
+/// the returned join block. Heterogeneous object populations must be
+/// accessed this way — each access site names the object's true class,
+/// like a virtual dispatch — or POLaR's class-hash check (correctly)
+/// flags the access as a type confusion.
+pub fn dispatch_by_kind(
+    f: &mut FunctionBuilder,
+    cur: BlockId,
+    classes: &[ClassId],
+    kind: Reg,
+    mut body: impl FnMut(&mut FunctionBuilder, BlockId, ClassId),
+) -> BlockId {
+    let join = f.block();
+    let mut chain = cur;
+    for (k, &class) in classes.iter().enumerate() {
+        let hit = f.block();
+        let next = f.block();
+        let is_k = f.cmpi(chain, CmpOp::Eq, kind, k as u64);
+        f.br(chain, is_k, hit, next);
+        body(f, hit, class);
+        f.jmp(hit, join);
+        chain = next;
+    }
+    f.jmp(chain, join);
+    join
+}
+
+/// Emit the workload's non-object "real work": `iters` rounds of register
+/// mixing folded into `seed`. Returns the folded register and the block
+/// to continue in. This is what keeps the instrumented-site density
+/// realistic — SPEC programs spend most of their cycles in computation
+/// the instrumentation never touches.
+pub fn compute_pad(
+    f: &mut FunctionBuilder,
+    cur: BlockId,
+    iters: u64,
+    seed: Reg,
+) -> (Reg, BlockId) {
+    let acc = f.mov(cur, seed);
+    let lp = begin_for_n(f, cur, iters);
+    let x = f.bin(lp.body, BinOp::Add, acc, lp.i);
+    let m = mix(f, lp.body, x);
+    f.mov_to(lp.body, acc, m);
+    end_for(f, &lp, lp.body);
+    (acc, lp.exit)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,52 +215,4 @@ mod tests {
             ids.iter().map(|&i| mb.registry().get(i).size()).collect();
         assert!(sizes.len() >= 2);
     }
-}
-
-/// Build a `switch (kind)` dispatch chain over `classes`: for each class
-/// an arm block is created, `body` fills it in, and all arms converge on
-/// the returned join block. Heterogeneous object populations must be
-/// accessed this way — each access site names the object's true class,
-/// like a virtual dispatch — or POLaR's class-hash check (correctly)
-/// flags the access as a type confusion.
-pub fn dispatch_by_kind(
-    f: &mut FunctionBuilder,
-    cur: BlockId,
-    classes: &[ClassId],
-    kind: Reg,
-    mut body: impl FnMut(&mut FunctionBuilder, BlockId, ClassId),
-) -> BlockId {
-    let join = f.block();
-    let mut chain = cur;
-    for (k, &class) in classes.iter().enumerate() {
-        let hit = f.block();
-        let next = f.block();
-        let is_k = f.cmpi(chain, CmpOp::Eq, kind, k as u64);
-        f.br(chain, is_k, hit, next);
-        body(f, hit, class);
-        f.jmp(hit, join);
-        chain = next;
-    }
-    f.jmp(chain, join);
-    join
-}
-
-/// Emit the workload's non-object "real work": `iters` rounds of register
-/// mixing folded into `seed`. Returns the folded register and the block
-/// to continue in. This is what keeps the instrumented-site density
-/// realistic — SPEC programs spend most of their cycles in computation
-/// the instrumentation never touches.
-pub fn compute_pad(
-    f: &mut FunctionBuilder,
-    cur: BlockId,
-    iters: u64,
-    seed: Reg,
-) -> (Reg, BlockId) {
-    let acc = f.mov(cur, seed);
-    let lp = begin_for_n(f, cur, iters);
-    let x = f.bin(lp.body, BinOp::Add, acc, lp.i);
-    let m = mix(f, lp.body, x);
-    f.mov_to(lp.body, acc, m);
-    end_for(f, &lp, lp.body);
-    (acc, lp.exit)
 }

@@ -5,7 +5,8 @@
 #    policy, so any dependency that is not an in-tree path dependency
 #    (i.e. anything that would hit a registry) fails the check.
 # 2. Run the tier-1 gate: cargo build --release && cargo test -q.
-# 3. Run clippy with warnings denied on polar-simheap and polar-runtime.
+# 3. Run clippy with warnings denied on the heap, runtime, IR,
+#    instrumentation, attack and workload crates.
 # 4. Run every workspace crate's tests, build the workspace binaries,
 #    then run the release smokes, the bench gate and the security gate.
 #
@@ -66,10 +67,12 @@ cargo build --release --offline
 cargo test -q --offline
 echo "ok: tier-1 green"
 
-echo "== clippy (simheap, runtime) =="
-# The heap and the runtime (and the in-tree crates they build on) must
-# stay free of clippy warnings; the other crates are not gated yet.
-cargo clippy --offline -p polar-simheap -p polar-runtime --all-targets -- -D warnings
+echo "== clippy (simheap, runtime, ir, instrument, attacks, workloads) =="
+# These crates (and the in-tree libraries they build on: rng, classinfo,
+# layout, check, fuzz, taint) must stay free of clippy warnings;
+# polar-bench and the root package are not gated yet.
+cargo clippy --offline -p polar-simheap -p polar-runtime -p polar-ir -p polar-instrument \
+    -p polar-attacks -p polar-workloads --all-targets -- -D warnings
 echo "ok: clippy clean"
 
 echo "== workspace tests =="

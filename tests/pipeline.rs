@@ -3,7 +3,9 @@
 //! the POLaR build — randomization must be semantically invisible.
 
 use polar::instrument::{check_compatibility, instrument, InstrumentOptions};
-use polar::ir::interp::{run_native, run_with_mode, ExecLimits};
+use polar::ir::interp::{run, run_native, run_with_mode};
+use polar::ir::trace::NopTracer;
+use polar::runtime::ShardedRuntime;
 use polar::prelude::*;
 
 fn polar_config(seed: u64) -> RuntimeConfig {
@@ -39,6 +41,40 @@ fn every_spec_workload_is_transparent_under_polar() {
             );
             assert_eq!(native.output, polar.output, "{} output diverged", w.name);
         }
+    }
+}
+
+/// A thread's handle is a full `PolarRuntime`: every instrumented
+/// workload run through `handle(0)` of a 2-shard runtime computes what
+/// the plain runtime computes, and the run's own statistics — read
+/// before the handle is flushed or dropped — count the same events.
+#[test]
+fn every_spec_workload_runs_the_same_through_a_shard_handle() {
+    for w in polar::workloads::all_spec() {
+        let (hardened, _) = instrument(&w.module, &InstrumentOptions::default());
+        let single = run_with_mode(
+            &hardened,
+            RandomizeMode::per_allocation(),
+            polar_config(1),
+            &w.input,
+            w.limits,
+        );
+        let sharded = ShardedRuntime::new(RandomizeMode::per_allocation(), polar_config(1), 2);
+        let mut handle = sharded.handle(0);
+        let through = run(&hardened, &mut handle, &w.input, w.limits, &mut NopTracer);
+        assert!(single.result.is_ok(), "{}: {:?}", w.name, single.result);
+        assert_eq!(single.result, through.result, "{} result diverged", w.name);
+        assert_eq!(single.output, through.output, "{} output diverged", w.name);
+        let (a, b) = (single.stats, through.stats);
+        let counts = |s: RuntimeStats| {
+            (s.allocations, s.frees, s.member_accesses, s.memcpys, s.total_detections())
+        };
+        assert_eq!(
+            counts(a),
+            counts(b),
+            "{}: (allocations, frees, member_accesses, memcpys, detections) diverged",
+            w.name
+        );
     }
 }
 
