@@ -41,7 +41,7 @@ fn churn(heap: &mut SimHeap, op_seed: u64, ops: usize) -> Vec<u64> {
     let mut trace = Vec::new();
     for _ in 0..ops {
         let roll = rng.next_u64();
-        if roll % 3 != 0 || live.is_empty() {
+        if !roll.is_multiple_of(3) || live.is_empty() {
             // Sizes spanning small classes and the oversize path.
             let size = match roll % 7 {
                 0 => 16,
@@ -125,8 +125,7 @@ fn probe_class() -> Arc<ClassInfo> {
 /// the runtime derives the placement stream from its process seed).
 fn runtime_trace(process_seed: u64) -> Vec<u64> {
     let info = probe_class();
-    let mut config = RuntimeConfig::default();
-    config.seed = process_seed;
+    let mut config = RuntimeConfig { seed: process_seed, ..RuntimeConfig::default() };
     config.heap.capacity = 64 << 20;
     config.heap.placement = policy(0);
     let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
@@ -147,9 +146,8 @@ fn runtime_trace(process_seed: u64) -> Vec<u64> {
 fn main() {
     // 1: invariants under randomized placement (with quarantine in the
     // mix so the randomized eviction order is exercised too).
-    let mut config = HeapConfig::default();
-    config.placement = policy(0x9_1ACE);
-    config.quarantine = 8;
+    let config =
+        HeapConfig { placement: policy(0x9_1ACE), quarantine: 8, ..HeapConfig::default() };
     let mut heap = SimHeap::new(config);
     churn(&mut heap, 0x0D75, 4000);
     check_invariants(&heap);
@@ -162,9 +160,8 @@ fn main() {
 
     // 2: placement replays as a pure function of its seed.
     let run = |placement_seed: u64| {
-        let mut c = HeapConfig::default();
-        c.placement = policy(placement_seed);
-        let mut h = SimHeap::new(c);
+        let mut h =
+            SimHeap::new(HeapConfig { placement: policy(placement_seed), ..HeapConfig::default() });
         churn(&mut h, 0x0D75, 2000)
     };
     let a = run(41);

@@ -44,8 +44,7 @@ fn large_class() -> Arc<ClassInfo> {
 fn mixed_run(seed: u64) -> (Vec<(u64, u64, Vec<u32>)>, polar_runtime::RuntimeStats) {
     let small = small_class();
     let large = large_class();
-    let mut config = RuntimeConfig::default();
-    config.seed = seed;
+    let mut config = RuntimeConfig { seed, ..RuntimeConfig::default() };
     config.heap.capacity = 64 << 20;
     let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
     let mut trace = Vec::new();

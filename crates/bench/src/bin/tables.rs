@@ -24,6 +24,9 @@ use polar_ir::interp::{run_native, run_with_mode, ExecLimits};
 use polar_runtime::{PolarRuntime, RandomizeMode, RuntimeConfig, RuntimeError, ShardedRuntime};
 use polar_workloads::{gc, js};
 
+/// A defense constructor keyed by trial seed.
+type DefenseFor = Box<dyn Fn(u64) -> Defense>;
+
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -214,7 +217,7 @@ fn security() {
     );
     println!("{}", "-".repeat(84));
     for s in scenarios::all() {
-        let configs: Vec<(&str, Box<dyn Fn(u64) -> Defense>, Attacker)> = vec![
+        let configs: Vec<(&str, DefenseFor, Attacker)> = vec![
             ("native", Box::new(|_| Defense::Native), Attacker::BinaryAware),
             (
                 "static-olr",
@@ -451,8 +454,10 @@ fn placement() {
     // estimator is log2(#distinct addresses) at each position — what an
     // attacker predicting the k-th address is actually up against.
     let run = |placement_seed: u64| -> Vec<u64> {
-        let mut config = HeapConfig::default();
-        config.placement = PlacementPolicy { seed: placement_seed, ..policy };
+        let mut config = HeapConfig {
+            placement: PlacementPolicy { seed: placement_seed, ..policy },
+            ..HeapConfig::default()
+        };
         if placement_seed == 0 {
             config.placement = PlacementPolicy::default(); // the off row
         }

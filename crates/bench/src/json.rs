@@ -22,8 +22,12 @@ pub struct Entry {
     pub bench: String,
     /// Runtime mode label (`polar`, `static-olr`, `polar-unpooled`, …).
     pub mode: String,
-    /// Best-of-samples nanoseconds per operation (0 for quick rows).
+    /// Best-of-samples nanoseconds per operation (0 for quick rows), or
+    /// the median over rounds for rows that carry `iqr_ns`.
     pub ns_per_op: f64,
+    /// Interquartile range of the per-round samples, for rows reported
+    /// as a median over interleaved rounds; `None` for best-of rows.
+    pub iqr_ns: Option<f64>,
     /// Offset-cache hit rate over the timed loop, when meaningful.
     pub cache_hit_rate: Option<f64>,
     /// `estimated_metadata_bytes` at the end of the timed loop.
@@ -53,15 +57,17 @@ pub fn write_entries(buf: &mut String, entries: &[Entry]) {
             Some(r) => format!("{r:.6}"),
             None => "null".to_owned(),
         };
+        let iqr = e.iqr_ns.map_or(String::new(), |v| format!(", \"iqr_ns\": {v:.2}"));
         let _ = write!(
             buf,
             "    {{\"snapshot\": \"{}\", \"bench\": \"{}\", \"mode\": \"{}\", \
-             \"ns_per_op\": {:.2}, \"cache_hit_rate\": {}, \"metadata_bytes\": {}, \
+             \"ns_per_op\": {:.2}{}, \"cache_hit_rate\": {}, \"metadata_bytes\": {}, \
              \"quick\": {}, \"parallelism\": {}}}",
             json_escape(&e.snapshot),
             json_escape(&e.bench),
             json_escape(&e.mode),
             e.ns_per_op,
+            iqr,
             hit,
             e.metadata_bytes,
             e.quick,
@@ -90,7 +96,7 @@ pub fn parse_entries(text: &str, default_snapshot: &str) -> Vec<Entry> {
                 Some(stripped.split('"').next()?.to_owned())
             } else {
                 Some(
-                    rest.split(|c: char| c == ',' || c == '}')
+                    rest.split([',', '}'])
                         .next()?
                         .trim()
                         .to_owned(),
@@ -110,6 +116,7 @@ pub fn parse_entries(text: &str, default_snapshot: &str) -> Vec<Entry> {
             bench,
             mode,
             ns_per_op: ns,
+            iqr_ns: field("iqr_ns").and_then(|v| v.parse().ok()),
             cache_hit_rate: field("cache_hit_rate").and_then(|v| v.parse().ok()),
             metadata_bytes: field("metadata_bytes")
                 .and_then(|v| v.parse().ok())
@@ -142,6 +149,7 @@ mod tests {
             bench: bench.to_owned(),
             mode: "polar".to_owned(),
             ns_per_op: ns,
+            iqr_ns: None,
             cache_hit_rate: if quick { None } else { Some(0.75) },
             metadata_bytes: 4096,
             quick,
@@ -153,10 +161,13 @@ mod tests {
     fn entries_round_trip_through_json() {
         let mut mt = row("lockfree", "olr_getptr_mt4", 9.8, false);
         mt.parallelism = 4;
+        let mut refill = row("current", "magazine_refill", 9100.0, false);
+        refill.iqr_ns = Some(1250.5);
         let entries = vec![
             row("seed", "olr_malloc_free", 118.9, false),
             row("current", "olr_getptr_cached", 0.0, true),
             mt,
+            refill,
         ];
         let mut buf = String::new();
         write_entries(&mut buf, &entries);

@@ -443,11 +443,13 @@ pub fn ablation_rows(_reps: u32) -> Vec<AblationRow> {
         .into_iter()
         .map(|(label, policy)| {
             let entropy_bits = polar_layout::entropy::layout_entropy_bits(&probe, &policy);
-            let mut config = RuntimeConfig::default();
             // Stored-plan rows: the stateless path would shadow the
             // policy under test for small classes (and skips the large
             // probe anyway), so pin it off.
-            config.stateless = polar_runtime::StatelessPolicy::off();
+            let config = RuntimeConfig {
+                stateless: polar_runtime::StatelessPolicy::off(),
+                ..RuntimeConfig::default()
+            };
             measure(label, entropy_bits, &probe, RandomizeMode::PerAllocation { policy }, config)
         })
         .collect();
@@ -457,9 +459,11 @@ pub fn ablation_rows(_reps: u32) -> Vec<AblationRow> {
     {
         let policy = polar_layout::RandomizationPolicy::default();
         let entropy_bits = polar_layout::entropy::layout_entropy_bits(&probe, &policy);
-        let mut config = RuntimeConfig::default();
-        config.stateless = polar_runtime::StatelessPolicy::off();
-        config.offset_cache = false;
+        let config = RuntimeConfig {
+            stateless: polar_runtime::StatelessPolicy::off(),
+            offset_cache: false,
+            ..RuntimeConfig::default()
+        };
         rows.push(measure(
             "default, cache OFF".into(),
             entropy_bits,
@@ -492,8 +496,7 @@ pub fn ablation_rows(_reps: u32) -> Vec<AblationRow> {
                 polar_runtime::StatelessPolicy::permute_only(),
             ),
         ] {
-            let mut config = RuntimeConfig::default();
-            config.stateless = stateless;
+            let config = RuntimeConfig { stateless, ..RuntimeConfig::default() };
             rows.push(measure(
                 label.into(),
                 bits,

@@ -88,7 +88,7 @@ pub fn parse_sec_entries(text: &str, default_snapshot: &str) -> Vec<SecEntry> {
                 Some(stripped.split('"').next()?.to_owned())
             } else {
                 Some(
-                    rest.split(|c: char| c == ',' || c == '}')
+                    rest.split([',', '}'])
                         .next()?
                         .trim()
                         .to_owned(),

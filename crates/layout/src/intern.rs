@@ -1,9 +1,8 @@
 //! Plan interning: the paper's metadata deduplication optimization.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::plan::{LayoutPlan, PlanHash};
+use crate::plan::{LayoutPlan, PlanHash, PlanMap};
 
 /// Interns [`LayoutPlan`]s by content hash so that objects which happen to
 /// draw structurally identical layouts share one metadata record.
@@ -35,7 +34,7 @@ use crate::plan::{LayoutPlan, PlanHash};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PlanInterner {
-    plans: HashMap<PlanHash, Arc<LayoutPlan>>,
+    plans: PlanMap<Arc<LayoutPlan>>,
     hits: u64,
     misses: u64,
 }

@@ -58,15 +58,14 @@ mod stateless;
 
 pub use engine::LayoutEngine;
 pub use intern::PlanInterner;
-pub use plan::{DummySlot, FieldAccess, LayoutPlan, PlanHash};
+pub use plan::{DummySlot, FieldAccess, LayoutPlan, PlanHash, PlanHashHasher, PlanMap};
 pub use registry::PlanRegistry;
 pub use policy::{DummyPolicy, PermuteMode, RandomizationPolicy};
 pub use pool::{PlanPools, PoolPolicy, PoolStats};
 pub use static_olr::StaticOlrTable;
 pub use stateless::{
-    code_position, code_rank, code_space, pack_perm, permute_index, stateless_bound,
-    stateless_perm, stateless_plan,
+    code_position, pack_perm, permute_index, stateless_bound, stateless_perm, stateless_plan,
     stateless_plan_from_code, stateless_size_bound, stateless_trapped_plan, EpochKey, PermBlock,
-    PermCode, RoundKeys, StatelessPolicy, PERM_BLOCK_RUN, STATELESS_MAX_FIELDS,
+    PermCode, RoundKeys, StatelessPolicy, StatelessShape, PERM_BLOCK_RUN, STATELESS_MAX_FIELDS,
     STATELESS_TRAP_MAX, TRAP_SLOT_BYTES,
 };

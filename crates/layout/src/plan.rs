@@ -1,6 +1,8 @@
 //! Layout plans: the per-allocation metadata POLaR stores for each object.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use polar_classinfo::{ClassHash, ClassInfo};
 
@@ -13,6 +15,35 @@ pub struct PlanHash(pub u64);
 impl fmt::Display for PlanHash {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:#018x}", self.0)
+    }
+}
+
+/// A map keyed by [`PlanHash`]. The key is already a mixed 64-bit
+/// content hash, so the map uses it as its own hash instead of running
+/// it through SipHash on every lookup. Keys are hashes of plans the
+/// runtime derives itself (from its secret seed and epoch key), never
+/// values from outside the program, so giving up SipHash's protection
+/// against crafted collisions costs nothing here.
+pub type PlanMap<V> = HashMap<PlanHash, V, BuildHasherDefault<PlanHashHasher>>;
+
+/// The pass-through [`Hasher`] behind [`PlanMap`]: a `u64` key is its
+/// own hash; any other input is folded FNV-style.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PlanHashHasher(u64);
+
+impl Hasher for PlanHashHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
     }
 }
 
@@ -137,29 +168,27 @@ impl LayoutPlan {
         )
     }
 
+    /// The content hash over a plan's parts (what [`LayoutPlan::plan_hash`]
+    /// returns): [`hash_step`] folded over the size, each field offset
+    /// and each dummy, from [`hash_seed`].
     fn content_hash(
         class: ClassHash,
         offsets: &[u32],
         dummies: &[DummySlot],
         size: u32,
     ) -> PlanHash {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ class.0;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            h ^= h >> 29;
-        };
-        mix(size as u64);
+        let mut h = hash_seed(class);
+        h = hash_step(h, u64::from(size));
         for &o in offsets {
-            mix(o as u64 + 1);
+            h = hash_step(h, u64::from(o) + 1);
         }
         for d in dummies {
             // Canary values are deliberately excluded: the hash covers the
             // *structure* of the layout, so structurally identical plans
             // intern together (and then share trap values, as metadata
             // dedup implies).
-            mix(((d.offset as u64) << 32) | d.size as u64);
-            mix(u64::from(d.canary.is_some()));
+            let [a, b] = dummy_words(d);
+            h = hash_step(hash_step(h, a), b);
         }
         PlanHash(h)
     }
@@ -285,6 +314,26 @@ impl LayoutPlan {
     pub fn field_align(&self, index: usize) -> u32 {
         self.field_aligns[index]
     }
+}
+
+/// Starting state of a plan's content hash.
+#[inline]
+pub(crate) fn hash_seed(class: ClassHash) -> u64 {
+    0xcbf2_9ce4_8422_2325 ^ class.0
+}
+
+/// Fold one word into a plan's content hash.
+#[inline]
+pub(crate) fn hash_step(h: u64, v: u64) -> u64 {
+    let h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    h ^ (h >> 29)
+}
+
+/// The two words a dummy slot contributes to its plan's content hash:
+/// its placement, and whether it carries a canary (not the value).
+#[inline]
+pub(crate) fn dummy_words(d: &DummySlot) -> [u64; 2] {
+    [(u64::from(d.offset) << 32) | u64::from(d.size), u64::from(d.canary.is_some())]
 }
 
 /// Clamp a field size to a scalar load/store width (1, 2, 4 or 8).

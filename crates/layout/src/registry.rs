@@ -14,11 +14,10 @@
 //! Writers (the shards, during `record_object`) intern through a small
 //! mutex; that lock is on the *allocation* path, never the read path.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::plan::{LayoutPlan, PlanHash};
+use crate::plan::{LayoutPlan, PlanHash, PlanMap};
 
 /// Plans per chunk; chunks are committed on demand and never moved.
 const PLANS_PER_CHUNK: usize = 1024;
@@ -39,7 +38,7 @@ pub struct PlanRegistry {
     /// filled, so `get(id < len)` always finds an initialized entry.
     len: AtomicU32,
     /// Writer-side dedup map (plan hash → id).
-    ids: Mutex<HashMap<PlanHash, u32>>,
+    ids: Mutex<PlanMap<u32>>,
 }
 
 impl std::fmt::Debug for PlanRegistry {
@@ -60,7 +59,7 @@ impl PlanRegistry {
         PlanRegistry {
             chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
             len: AtomicU32::new(0),
-            ids: Mutex::new(HashMap::new()),
+            ids: Mutex::new(PlanMap::default()),
         }
     }
 

@@ -33,11 +33,14 @@
 //! * [`PermBlock`] buffers derived permutation codes for a run of
 //!   consecutive generations of one slot, `BufferedRng`-style: block
 //!   reuse (malloc/free churn on one slot) pays one batched refill per
-//!   [`PERM_BLOCK_RUN`] allocations.
+//!   [`PERM_BLOCK_RUN`] allocations. [`RoundKeys::perm_codes`] runs the
+//!   same round-major kernel over independent (slot, generation) lanes,
+//!   for a batch of reservations on different slots.
 //! * A permutation is summarized as a packed [`PermCode`] (4 bits per
-//!   position), which the runtime uses as the key of a tiny per-class
-//!   plan cache — repeated codes reuse one interned [`LayoutPlan`] `Arc`
-//!   with no plan construction, hashing, or interner probe.
+//!   position). [`StatelessShape`] computes the content hash of the plan
+//!   a code derives on the stack, so the runtime resolves the interned
+//!   [`LayoutPlan`] with one hash-keyed lookup and builds a plan only
+//!   the first time its hash appears.
 //!
 //! # Virtual booby traps
 //!
@@ -53,9 +56,9 @@
 //! the stateless path is now the runtime's *default* for small classes
 //! ([`StatelessPolicy`]).
 
-use polar_classinfo::ClassInfo;
+use polar_classinfo::{ClassHash, ClassInfo};
 
-use crate::plan::{DummySlot, LayoutPlan};
+use crate::plan::{dummy_words, hash_seed, hash_step, DummySlot, LayoutPlan, PlanHash};
 
 /// Largest field count served by the stateless path.
 pub const STATELESS_MAX_FIELDS: usize = 8;
@@ -335,48 +338,100 @@ impl RoundKeys {
         Self::code_from_mapping(self.mapping_for_tweak(tweak(generation, slot)), n)
     }
 
+    /// Packed permutation codes for a batch of independent identities
+    /// (`ids[i]` = (slot, generation)), written to `out[i]`: byte-identical
+    /// to calling [`RoundKeys::perm_code`] on each, but derived
+    /// [`PERM_BLOCK_RUN`] lanes at a time, round-major, so the lanes'
+    /// serial Feistel chains overlap instead of running back to back.
+    /// This is how a magazine refill derives its capsules' layouts: the
+    /// blocks it just reserved are different slots, so there is no
+    /// generation run for a [`PermBlock`] to exploit, but there is a
+    /// whole batch of independent chains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `ids`.
+    pub fn perm_codes(&self, ids: &[(u32, u64)], n: usize, out: &mut [PermCode]) {
+        let out = &mut out[..ids.len()];
+        for (ids, out) in ids.chunks(PERM_BLOCK_RUN).zip(out.chunks_mut(PERM_BLOCK_RUN)) {
+            let mut tweaks = [0u64; PERM_BLOCK_RUN];
+            for (t, &(slot, generation)) in tweaks.iter_mut().zip(ids) {
+                *t = tweak(generation, slot);
+            }
+            self.lanes(&tweaks[..ids.len()], n, out);
+        }
+    }
+
+    /// The batch kernel behind [`RoundKeys::perm_codes`] and
+    /// [`PermBlock`]'s run refill: up to [`PERM_BLOCK_RUN`] independent
+    /// tweaks advanced one round at a time across all lanes — each
+    /// lane's rounds form a serial dependency chain, but the chains are
+    /// independent, so stepping them together keeps `4 · lanes` `mix64`
+    /// calls per round in flight — then each mapping cycle-walked to its
+    /// code.
+    #[inline]
+    fn lanes(&self, tweaks: &[u64], n: usize, out: &mut [PermCode]) {
+        debug_assert!(tweaks.len() <= PERM_BLOCK_RUN && out.len() >= tweaks.len());
+        let mut states = [SWAR_IDENTITY; PERM_BLOCK_RUN];
+        for (round, rk_row) in self.rk.iter().enumerate() {
+            for (state, t) in states.iter_mut().zip(tweaks) {
+                *state = swar_round(rk_row, t.rotate_left(round as u32 * 8), *state);
+            }
+        }
+        for (code, &state) in out.iter_mut().zip(&states[..tweaks.len()]) {
+            *code = Self::code_from_mapping(state, n);
+        }
+    }
+
     #[inline]
     fn code_from_mapping(map: u64, n: usize) -> PermCode {
         debug_assert!((1..=STATELESS_MAX_FIELDS).contains(&n));
-        // Branch-free cycle walk. A walk from any start re-enters
-        // `[0, n)` within `16 - n` steps (the orbit visits each of the
-        // `16 - n` out-of-domain points at most once), and an in-domain
-        // value is a fixed point of the conditional step — so a fixed
-        // number of select-steps replaces the data-dependent `while`
-        // whose random trip count cost a mispredict per field.
-        let nn = n as u64;
-        // Step-major, field-minor: the per-field walks are independent
-        // chains, and running one select-step of every field per
-        // iteration lets them pipeline instead of serializing each
-        // field's full walk behind the previous one's. In-domain values
-        // are fixed points of the conditional step, so a fixed unroll of
-        // branch-free steps is correct for however far it gets; 9 steps
-        // resolve >90% of identities, and one well-predicted branch
-        // routes the rare long orbit to a cleanup loop instead of paying
-        // the full worst-case 15-step chain latency every time.
-        const FAST_STEPS: usize = 9;
-        let mut xs = [0u64; STATELESS_MAX_FIELDS];
-        for (p, x) in xs.iter_mut().enumerate().take(n) {
-            *x = (map >> (4 * p)) & 0xF;
+        // One monomorphized walk per field count: fixed trip counts, the
+        // chains in registers.
+        match n {
+            1 => Self::walk::<1>(map),
+            2 => Self::walk::<2>(map),
+            3 => Self::walk::<3>(map),
+            4 => Self::walk::<4>(map),
+            5 => Self::walk::<5>(map),
+            6 => Self::walk::<6>(map),
+            7 => Self::walk::<7>(map),
+            _ => Self::walk::<8>(map),
         }
-        for _ in 0..FAST_STEPS {
-            for x in xs.iter_mut().take(n) {
+    }
+
+    /// The cycle walk for an `N`-field class. A walk from any start
+    /// re-enters `[0, N)` within `16 - N` steps (the orbit visits each of
+    /// the `16 - N` out-of-domain points at most once), and an in-domain
+    /// value is a fixed point of the conditional step
+    /// `x ← x < N ? x : map[x]` — so fixed select-steps replace the
+    /// data-dependent `while` whose random trip count cost a mispredict
+    /// per field. Step-major, field-minor: the per-field walks are
+    /// independent chains, and one select-step of every field per
+    /// iteration lets them pipeline. `11 - N` steps already finish
+    /// 75–95 % of identities (N = 3..=8), so one branch after them skips
+    /// the rest of the unroll in the common case.
+    #[inline]
+    fn walk<const N: usize>(map: u64) -> PermCode {
+        let nn = N as u64;
+        let step = |xs: &mut [u64; N]| {
+            for x in xs.iter_mut() {
                 let y = (map >> (4 * *x)) & 0xF;
                 *x = if *x < nn { *x } else { y };
             }
+        };
+        let all = DOMAIN as usize - N;
+        let early = 11usize.saturating_sub(N).clamp(1, all);
+        let mut xs: [u64; N] = std::array::from_fn(|p| (map >> (4 * p)) & 0xF);
+        for _ in 0..early {
+            step(&mut xs);
         }
-        if xs.iter().take(n).any(|&x| x >= nn) {
-            for x in xs.iter_mut().take(n) {
-                while *x >= nn {
-                    *x = (map >> (4 * *x)) & 0xF;
-                }
+        if xs.iter().any(|&x| x >= nn) {
+            for _ in early..all {
+                step(&mut xs);
             }
         }
-        let mut code: PermCode = 0;
-        for (p, &x) in xs.iter().enumerate().take(n) {
-            code |= (x as PermCode) << (4 * p);
-        }
-        code
+        xs.iter().enumerate().fold(0, |code, (p, &x)| code | (x as PermCode) << (4 * p))
     }
 }
 
@@ -384,35 +439,6 @@ impl RoundKeys {
 #[inline]
 pub fn code_position(code: PermCode, p: usize) -> usize {
     ((code >> (4 * p)) & 0xF) as usize
-}
-
-/// `n!` for `n ≤ STATELESS_MAX_FIELDS`: the number of distinct
-/// permutation codes an `n`-field class can produce. Derived-plan caches
-/// size themselves with this (a 4-field class needs 24 entries, ever).
-#[inline]
-pub fn code_space(n: usize) -> usize {
-    const FACT: [usize; STATELESS_MAX_FIELDS + 1] =
-        [1, 1, 2, 6, 24, 120, 720, 5040, 40320];
-    FACT[n.min(STATELESS_MAX_FIELDS)]
-}
-
-/// Lehmer rank of the permutation packed in `code`: a perfect (bijective)
-/// index in `[0, n!)`. Lets small-codomain plan caches index without
-/// collisions — the hot-path property that makes the derived-plan cache
-/// miss exactly `n!` times per class lifetime, not per hash conflict.
-#[inline]
-pub fn code_rank(code: PermCode, n: usize) -> usize {
-    debug_assert!((1..=STATELESS_MAX_FIELDS).contains(&n));
-    let mut rank = 0usize;
-    for i in 0..n {
-        let a_i = code_position(code, i);
-        let mut smaller_after = 0usize;
-        for j in i + 1..n {
-            smaller_after += usize::from(code_position(code, j) < a_i);
-        }
-        rank = rank * (n - i) + smaller_after;
-    }
-    rank
 }
 
 /// Pack a permutation produced by [`stateless_perm`] into a [`PermCode`]
@@ -483,27 +509,12 @@ impl PermBlock {
         self.n = n as u8;
         self.len = count as u8;
         self.gen_base = gen_base;
-        // Round-major across the batch: each code's Feistel rounds form
-        // a serial dependency chain, but the chains of different
-        // generations are independent — advancing all of them one round
-        // at a time keeps `count` chains (and their 4·count mix64 calls
-        // per round) in flight at once, which is where the batched
-        // refill actually beats deriving the codes one by one.
         let mut tweaks = [0u64; PERM_BLOCK_RUN];
         for (i, t) in tweaks.iter_mut().enumerate().take(count) {
             let generation = gen_base.wrapping_add(i as u64);
             *t = mix64((generation << 32) ^ generation >> 32).wrapping_add(sm);
         }
-        let mut states = [SWAR_IDENTITY; PERM_BLOCK_RUN];
-        for round in 0..ROUNDS as usize {
-            let rk_row = &keys.rk[round];
-            for (state, t) in states.iter_mut().zip(&tweaks).take(count) {
-                *state = swar_round(rk_row, t.rotate_left(round as u32 * 8), *state);
-            }
-        }
-        for (code, &state) in self.codes.iter_mut().zip(&states).take(count) {
-            *code = RoundKeys::code_from_mapping(state, n);
-        }
+        keys.lanes(&tweaks[..count], n, &mut self.codes);
     }
 }
 
@@ -570,22 +581,17 @@ fn trap_spec(key: EpochKey, code: PermCode, n: usize) -> (usize, [usize; STATELE
     );
     let t = 1 + (h % u64::from(STATELESS_TRAP_MAX)) as usize;
     let mut at = [0usize; STATELESS_TRAP_MAX as usize];
-    for (j, slot) in at.iter_mut().enumerate().take(t) {
-        // Insertion position into the growing memory-order sequence of
-        // n fields + j earlier traps.
+    // Insertion position of trap `j` into the growing memory-order
+    // sequence of n fields + j earlier traps. All three are computed
+    // (independent divides, no branch on `t`); callers use `at[..t]`.
+    for (j, slot) in at.iter_mut().enumerate() {
         *slot = ((h >> (8 + 6 * j)) as usize) % (n + j + 1);
     }
     (t, at, h)
 }
 
 /// Build the [`LayoutPlan`] for a packed permutation code, optionally
-/// interleaving virtual trap slots.
-///
-/// Fields are laid out sequentially in the code's derived order with
-/// natural alignment; with `traps` on, 1..=[`STATELESS_TRAP_MAX`]
-/// 8-byte canary dummies (geometry from [`trap_spec`]) are inserted
-/// between them. Sequential assignment makes trap slots and fields
-/// disjoint by construction.
+/// interleaving virtual trap slots (see [`StatelessShape::plan`]).
 ///
 /// # Panics
 ///
@@ -596,56 +602,255 @@ pub fn stateless_plan_from_code(
     code: PermCode,
     traps: bool,
 ) -> LayoutPlan {
-    let fields = info.fields();
-    let n = fields.len();
-    assert!(
-        n <= STATELESS_MAX_FIELDS,
-        "stateless path is limited to {STATELESS_MAX_FIELDS} fields, got {n}"
-    );
-    let mut offsets = vec![0u32; n];
-    let sizes: Vec<u32> = fields.iter().map(|f| f.kind().size()).collect();
-    let aligns: Vec<u32> = fields.iter().map(|f| f.kind().align()).collect();
+    StatelessShape::new(info, traps).plan(key, code)
+}
 
-    // Memory order: the permuted fields, with trap slots (encoded as
-    // `usize::MAX - j`) inserted at their derived positions.
-    let mut order: [usize; STATELESS_MAX_FIELDS + STATELESS_TRAP_MAX as usize] =
-        [0; STATELESS_MAX_FIELDS + STATELESS_TRAP_MAX as usize];
-    for (p, slot) in order.iter_mut().enumerate().take(n) {
-        *slot = code_position(code, p);
-    }
-    let mut len = n;
-    let mut dummies = Vec::new();
-    let mut canary_seed = 0u64;
-    if traps {
-        let (t, at, h) = trap_spec(key, code, n);
-        canary_seed = h;
-        for (j, &pos) in at.iter().enumerate().take(t) {
-            order.copy_within(pos..len, pos + 1);
-            order[pos] = usize::MAX - j;
-            len += 1;
+/// A stateless class's layout inputs, resolved once per class: its hash,
+/// field sizes and alignments, trap switch and block-size bound, held
+/// inline so deriving a layout from a permutation code touches no heap
+/// memory and no [`ClassInfo`].
+///
+/// [`StatelessShape::plan_hash`] computes the content hash of the plan a
+/// code derives *without building it*: the allocation path keys its
+/// plan lookup by that hash and builds a [`LayoutPlan`] only the first
+/// time a hash appears.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatelessShape {
+    class: ClassHash,
+    n: u8,
+    traps: bool,
+    bound: u32,
+    sizes: [u32; STATELESS_MAX_FIELDS],
+    aligns: [u32; STATELESS_MAX_FIELDS],
+}
+
+/// Words one stateless plan folds into its content hash: its size, its
+/// field offsets, and two per trap slot.
+const HASH_WORDS: usize = 1 + STATELESS_MAX_FIELDS + 2 * STATELESS_TRAP_MAX as usize;
+
+/// One derived layout on the stack: what [`StatelessShape::plan`] wraps
+/// into a [`LayoutPlan`] and [`StatelessShape::plan_hash`] hashes.
+/// Canary values are left out: the plan hash excludes them, so only the
+/// build path derives them.
+struct StackLayout {
+    offsets: [u32; STATELESS_MAX_FIELDS],
+    /// Trap-slot offsets in memory order.
+    traps: [u32; STATELESS_TRAP_MAX as usize],
+    /// Memory position of trap `j` (its insertion index), per `j`.
+    trap_pos: [usize; STATELESS_TRAP_MAX as usize],
+    /// Memory position of each trap slot in `traps`.
+    trap_mem: [usize; STATELESS_TRAP_MAX as usize],
+    trap_count: usize,
+    canary_seed: u64,
+    size: u32,
+}
+
+impl StatelessShape {
+    /// Resolve `info`'s shape, with or without virtual traps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `info` has more than [`STATELESS_MAX_FIELDS`] fields.
+    pub fn new(info: &ClassInfo, traps: bool) -> Self {
+        let fields = info.fields();
+        let n = fields.len();
+        assert!(
+            n <= STATELESS_MAX_FIELDS,
+            "stateless path is limited to {STATELESS_MAX_FIELDS} fields, got {n}"
+        );
+        let mut sizes = [0u32; STATELESS_MAX_FIELDS];
+        let mut aligns = [1u32; STATELESS_MAX_FIELDS];
+        for (i, f) in fields.iter().enumerate() {
+            sizes[i] = f.kind().size();
+            aligns[i] = f.kind().align();
+        }
+        StatelessShape {
+            class: info.hash(),
+            n: n as u8,
+            traps,
+            bound: stateless_bound(info, traps),
+            sizes,
+            aligns,
         }
     }
 
-    let mut cursor = 0u32;
-    let mut max_align = 1u32;
-    for &entry in order.iter().take(len) {
-        if entry >= usize::MAX - STATELESS_TRAP_MAX as usize {
-            let j = (usize::MAX - entry) as u64;
-            cursor = round_up(cursor, TRAP_SLOT_BYTES);
-            max_align = max_align.max(TRAP_SLOT_BYTES);
-            let canary = mix64(canary_seed ^ (j + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)) | 1;
-            dummies.push(DummySlot { offset: cursor, size: TRAP_SLOT_BYTES, canary: Some(canary) });
-            cursor += TRAP_SLOT_BYTES;
-        } else {
-            let align = aligns[entry];
-            max_align = max_align.max(align);
+    /// The class this shape lays out.
+    pub fn class(&self) -> ClassHash {
+        self.class
+    }
+
+    /// Number of fields (the permutation width).
+    pub fn field_count(&self) -> usize {
+        usize::from(self.n)
+    }
+
+    /// [`stateless_bound`] for this class and trap setting: the block
+    /// size every derived plan fits.
+    pub fn bound(&self) -> u32 {
+        self.bound
+    }
+
+    /// Content hash of the plan `code` derives, equal to
+    /// `self.plan(key, code).plan_hash()` but computed on the stack.
+    #[inline]
+    pub fn plan_hash(&self, key: EpochKey, code: PermCode) -> PlanHash {
+        let mut words = [0u64; HASH_WORDS];
+        let len = self.hash_words(key, code, &mut words);
+        PlanHash(words[..len].iter().fold(hash_seed(self.class), |h, &w| hash_step(h, w)))
+    }
+
+    /// [`StatelessShape::plan_hash`] for a batch of codes, written to
+    /// `out[i]`. The content hash is a serial chain (one multiply-xorshift
+    /// per word), so one plan's hash is latency-bound; a batch runs up
+    /// to [`PERM_BLOCK_RUN`] chains interleaved, word-major, the way
+    /// [`RoundKeys::perm_codes`] interleaves Feistel lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `codes`.
+    pub fn plan_hashes(&self, key: EpochKey, codes: &[PermCode], out: &mut [PlanHash]) {
+        let out = &mut out[..codes.len()];
+        for (codes, out) in codes.chunks(PERM_BLOCK_RUN).zip(out.chunks_mut(PERM_BLOCK_RUN)) {
+            let mut words = [[0u64; HASH_WORDS]; PERM_BLOCK_RUN];
+            let mut lens = [0usize; PERM_BLOCK_RUN];
+            for ((w, len), &code) in words.iter_mut().zip(&mut lens).zip(codes) {
+                *len = self.hash_words(key, code, w);
+            }
+            let longest = lens.iter().copied().max().unwrap_or(0);
+            let mut h = [hash_seed(self.class); PERM_BLOCK_RUN];
+            for k in 0..longest {
+                for ((h, w), &len) in h.iter_mut().zip(&words).zip(&lens).take(codes.len()) {
+                    let next = hash_step(*h, w[k]);
+                    *h = if k < len { next } else { *h };
+                }
+            }
+            for (o, &h) in out.iter_mut().zip(&h) {
+                *o = PlanHash(h);
+            }
+        }
+    }
+
+    /// The words the plan for `code` folds into its content hash (size,
+    /// field offsets, two per trap slot), written to `w`; returns how
+    /// many.
+    #[inline]
+    fn hash_words(&self, key: EpochKey, code: PermCode, w: &mut [u64; HASH_WORDS]) -> usize {
+        let n = self.field_count();
+        let l = self.layout(key, code);
+        w[0] = u64::from(l.size);
+        for (w, &o) in w[1..].iter_mut().zip(&l.offsets[..n]) {
+            *w = u64::from(o) + 1;
+        }
+        for (k, &offset) in l.traps[..l.trap_count].iter().enumerate() {
+            let trap = DummySlot { offset, size: TRAP_SLOT_BYTES, canary: Some(0) };
+            w[1 + n + 2 * k..3 + n + 2 * k].copy_from_slice(&dummy_words(&trap));
+        }
+        1 + n + 2 * l.trap_count
+    }
+
+    /// The [`LayoutPlan`] for a packed permutation code.
+    ///
+    /// Fields are laid out sequentially in the code's derived order with
+    /// natural alignment; with traps on, 1..=[`STATELESS_TRAP_MAX`]
+    /// 8-byte canary dummies (geometry from [`trap_spec`]) are inserted
+    /// between them. Sequential assignment makes trap slots and fields
+    /// disjoint by construction.
+    pub fn plan(&self, key: EpochKey, code: PermCode) -> LayoutPlan {
+        let n = self.field_count();
+        let l = self.layout(key, code);
+        let dummies = (0..l.trap_count)
+            .map(|k| {
+                // Trap `j`'s canary, for the `k`-th trap in memory order.
+                let j = l.trap_pos[..l.trap_count].iter().position(|&p| p == l.trap_mem[k]);
+                let j = j.unwrap_or(k) as u64;
+                let canary =
+                    mix64(l.canary_seed ^ (j + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)) | 1;
+                DummySlot { offset: l.traps[k], size: TRAP_SLOT_BYTES, canary: Some(canary) }
+            })
+            .collect();
+        LayoutPlan::with_aligns(
+            self.class,
+            l.offsets[..n].to_vec(),
+            self.sizes[..n].to_vec(),
+            self.aligns[..n].to_vec(),
+            dummies,
+            l.size,
+            false,
+        )
+    }
+
+    /// The one layout walk behind [`StatelessShape::plan`] and
+    /// [`StatelessShape::plan_hash`].
+    ///
+    /// Memory order is the code's field order with trap `j` inserted at
+    /// position `at[j]` of the then `n + j` long sequence. Each trap's
+    /// final position is its insertion index shifted by every later
+    /// insertion at or before it, so the walk needs no insertion
+    /// passes: it steps over the memory positions, taking a trap slot
+    /// where the trap mask says so and the next permuted field
+    /// otherwise. Every loop runs its maximum trip count with selects
+    /// and masks instead of stopping at the (random) trap count, so the
+    /// walk has no data-dependent branch to mispredict.
+    #[inline]
+    fn layout(&self, key: EpochKey, code: PermCode) -> StackLayout {
+        const MAX_TRAPS: usize = STATELESS_TRAP_MAX as usize;
+        const POSITIONS: usize = STATELESS_MAX_FIELDS + MAX_TRAPS;
+        let n = self.field_count();
+        let (t, at, canary_seed) = if self.traps { trap_spec(key, code, n) } else { (0, [0; MAX_TRAPS], 0) };
+        let mut trap_pos = [0usize; MAX_TRAPS];
+        let mut trap_mask = 0u32;
+        for j in 0..MAX_TRAPS {
+            let mut pos = at[j];
+            for (k, &later) in at.iter().enumerate().skip(j + 1) {
+                pos += usize::from(k < t && later <= pos);
+            }
+            trap_pos[j] = pos;
+            trap_mask |= u32::from(j < t) << pos;
+        }
+
+        // Field offsets land in `offsets[..n]`; trap and past-the-end
+        // positions write the scratch entry after them.
+        let mut offsets = [0u32; STATELESS_MAX_FIELDS + 1];
+        let mut at_pos = [0u32; POSITIONS];
+        let fields = u64::from(code);
+        let (mut cursor, mut max_align, mut next) = (0u32, 1u32, 0usize);
+        // `n + MAX_TRAPS` steps: a trip count fixed per class, so the
+        // loop branch predicts even though `t` varies per code.
+        for (i, slot) in at_pos.iter_mut().enumerate().take(n + MAX_TRAPS) {
+            let live = i < n + t;
+            let trap = trap_mask >> i & 1 != 0;
+            let field = ((fields >> (4 * next)) & 0xF) as usize % STATELESS_MAX_FIELDS;
+            let (size, align) = match (live, trap) {
+                (false, _) => (0, 1),
+                (true, true) => (TRAP_SLOT_BYTES, TRAP_SLOT_BYTES),
+                (true, false) => (self.sizes[field], self.aligns[field]),
+            };
+            let placed = live && !trap;
             cursor = round_up(cursor, align);
-            offsets[entry] = cursor;
-            cursor += sizes[entry];
+            offsets[if placed { field } else { STATELESS_MAX_FIELDS }] = cursor;
+            *slot = cursor;
+            cursor += size;
+            max_align = max_align.max(align);
+            next += usize::from(placed);
         }
+        let mut l = StackLayout {
+            offsets: [0; STATELESS_MAX_FIELDS],
+            traps: [0; MAX_TRAPS],
+            trap_pos,
+            trap_mem: [0; MAX_TRAPS],
+            trap_count: t,
+            canary_seed,
+            size: round_up(cursor.max(1), max_align),
+        };
+        l.offsets.copy_from_slice(&offsets[..STATELESS_MAX_FIELDS]);
+        for k in 0..MAX_TRAPS {
+            let i = (trap_mask.trailing_zeros() as usize).min(POSITIONS - 1);
+            l.traps[k] = at_pos[i];
+            l.trap_mem[k] = i;
+            trap_mask &= trap_mask.wrapping_sub(1);
+        }
+        l
     }
-    let size = round_up(cursor.max(1), max_align);
-    LayoutPlan::with_aligns(info.hash(), offsets, sizes, aligns, dummies, size, false)
 }
 
 /// An upper bound on the size of *any* stateless plan for `info`,
@@ -760,6 +965,103 @@ mod tests {
                         pack_perm(&stateless_perm(key, generation, slot, n)),
                         "code diverges for n={n}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The insertion-walk plan derivation the stack layout replaced: the
+    /// byte-level reference [`StatelessShape::plan`] must reproduce.
+    fn reference_plan(info: &ClassInfo, key: EpochKey, code: PermCode, traps: bool) -> LayoutPlan {
+        let fields = info.fields();
+        let n = fields.len();
+        let mut offsets = vec![0u32; n];
+        let sizes: Vec<u32> = fields.iter().map(|f| f.kind().size()).collect();
+        let aligns: Vec<u32> = fields.iter().map(|f| f.kind().align()).collect();
+        let mut order: Vec<usize> = (0..n).map(|p| code_position(code, p)).collect();
+        let mut canary_seed = 0u64;
+        if traps {
+            let (t, at, h) = trap_spec(key, code, n);
+            canary_seed = h;
+            for (j, &pos) in at.iter().enumerate().take(t) {
+                order.insert(pos, usize::MAX - j);
+            }
+        }
+        let (mut cursor, mut max_align, mut dummies) = (0u32, 1u32, Vec::new());
+        for &entry in &order {
+            if entry >= usize::MAX - STATELESS_TRAP_MAX as usize {
+                let j = (usize::MAX - entry) as u64;
+                cursor = round_up(cursor, TRAP_SLOT_BYTES);
+                max_align = max_align.max(TRAP_SLOT_BYTES);
+                let canary = mix64(canary_seed ^ (j + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)) | 1;
+                dummies.push(DummySlot { offset: cursor, size: TRAP_SLOT_BYTES, canary: Some(canary) });
+                cursor += TRAP_SLOT_BYTES;
+            } else {
+                max_align = max_align.max(aligns[entry]);
+                cursor = round_up(cursor, aligns[entry]);
+                offsets[entry] = cursor;
+                cursor += sizes[entry];
+            }
+        }
+        let size = round_up(cursor.max(1), max_align);
+        LayoutPlan::with_aligns(info.hash(), offsets, sizes, aligns, dummies, size, false)
+    }
+
+    #[test]
+    fn stack_plan_hash_matches_the_built_plan() {
+        // ≥10k codes per (n, traps): the hash computed on the stack — one
+        // plan at a time and batched — equals the hash of the plan built
+        // from the same code, and that plan equals the reference walk's,
+        // canaries included.
+        let mut rng = SplitMix64::new(0x57AC_4A54);
+        for n in 1..=STATELESS_MAX_FIELDS {
+            let info = small_class(n);
+            for traps in [false, true] {
+                let key = EpochKey(rng.next_u64());
+                let keys = RoundKeys::new(key);
+                let shape = StatelessShape::new(&info, traps);
+                assert_eq!(shape.bound(), stateless_bound(&info, traps));
+                let codes: Vec<PermCode> = (0..10_240)
+                    .map(|_| keys.perm_code(rng.next_u64() >> 24, rng.next_u64() as u32, n))
+                    .collect();
+                let mut batched = vec![PlanHash(0); codes.len()];
+                shape.plan_hashes(key, &codes, &mut batched);
+                for (&code, &batch_hash) in codes.iter().zip(&batched) {
+                    let built = stateless_plan_from_code(&info, key, code, traps);
+                    assert_eq!(shape.plan_hash(key, code), built.plan_hash(), "n={n} {code:#x}");
+                    assert_eq!(batch_hash, built.plan_hash(), "batched, n={n} {code:#x}");
+                    assert_eq!(built, reference_plan(&info, key, code, traps), "n={n} {code:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_lanes_match_single_lane_codes() {
+        // Multi-slot batches (any length, so partial trailing lanes too)
+        // and same-slot generation runs derive exactly the codes the
+        // single-lane `PermBlock::code_for` path does.
+        let mut rng = SplitMix64::new(0x1A9E_5EED);
+        for n in 1..=STATELESS_MAX_FIELDS {
+            let key = EpochKey(rng.next_u64());
+            let keys = RoundKeys::new(key);
+            for len in [1usize, 3, 8, 9, 32] {
+                let run_slot = rng.next_u64() as u32;
+                let base_gen = rng.next_u64() >> 20;
+                let ids: Vec<(u32, u64)> = (0..len)
+                    .map(|i| match i % 3 {
+                        // A same-slot generation run threaded through
+                        // the batch, next to unrelated slots.
+                        0 => (run_slot, base_gen + i as u64),
+                        _ => (rng.next_u64() as u32, rng.next_u64() >> 20),
+                    })
+                    .collect();
+                let mut batched = vec![0; len];
+                keys.perm_codes(&ids, n, &mut batched);
+                let mut block = PermBlock::empty();
+                for (&(slot, generation), &code) in ids.iter().zip(&batched) {
+                    assert_eq!(code, block.code_for(&keys, slot, generation, n), "n={n}");
+                    assert_eq!(code, pack_perm(&stateless_perm(key, generation, slot, n)));
                 }
             }
         }
@@ -903,45 +1205,5 @@ mod tests {
         // max_fields above the Feistel domain bound stays clamped.
         let wide = StatelessPolicy { max_fields: 32, ..StatelessPolicy::on() };
         assert!(!wide.applies_to(9));
-    }
-
-    #[test]
-    fn code_rank_is_a_bijection_onto_the_code_space() {
-        // Enumerate every permutation of 1..=5 elements (Heap's
-        // algorithm), pack it, and check the Lehmer rank hits each value
-        // in [0, n!) exactly once — the property the perfect derived-plan
-        // cache index rests on.
-        fn permutations(n: usize) -> Vec<Vec<usize>> {
-            let mut out = Vec::new();
-            let mut a: Vec<usize> = (0..n).collect();
-            fn heap(k: usize, a: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-                if k <= 1 {
-                    out.push(a.clone());
-                    return;
-                }
-                for i in 0..k {
-                    heap(k - 1, a, out);
-                    if k % 2 == 0 {
-                        a.swap(i, k - 1);
-                    } else {
-                        a.swap(0, k - 1);
-                    }
-                }
-            }
-            heap(n, &mut a, &mut out);
-            out
-        }
-        for n in 1..=5usize {
-            let mut seen = vec![false; code_space(n)];
-            for perm in permutations(n) {
-                let rank = code_rank(pack_perm(&perm), n);
-                assert!(rank < code_space(n), "rank {rank} out of range for n={n}");
-                assert!(!seen[rank], "rank {rank} collides for n={n} perm {perm:?}");
-                seen[rank] = true;
-            }
-            assert!(seen.iter().all(|&s| s), "ranks not surjective for n={n}");
-        }
-        assert_eq!(code_space(4), 24);
-        assert_eq!(code_space(8), 40320);
     }
 }

@@ -1,15 +1,13 @@
 //! The object runtime: per-object records in the heap's slot table, the
 //! offset cache, and the four instrumented entry points.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use polar_classinfo::{ClassHash, ClassInfo};
 use polar_layout::{
-    code_rank, code_space, stateless_bound, stateless_plan_from_code, EpochKey, FieldAccess,
-    LayoutEngine, LayoutPlan,
-    PermBlock, PermCode, PlanHash, PlanInterner, PlanPools, PlanRegistry, PoolPolicy,
-    RandomizationPolicy, RoundKeys, StatelessPolicy, StaticOlrTable,
+    EpochKey, FieldAccess, LayoutEngine, LayoutPlan, PermBlock, PermCode, PlanHash, PlanInterner,
+    PlanMap, PlanPools, PlanRegistry, PoolPolicy, RandomizationPolicy, RoundKeys,
+    StatelessPolicy, StatelessShape, StaticOlrTable, PERM_BLOCK_RUN,
 };
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64};
 use polar_simheap::{
@@ -170,6 +168,26 @@ pub(crate) struct Capsule {
     pub slot: u32,
 }
 
+/// A block malloced for a reservation, its writer window still open
+/// (see [`SimHeap::malloc_block_open`]) until it is armed.
+#[derive(Debug, Clone, Copy)]
+struct Unarmed {
+    base: Addr,
+    slot: u32,
+    generation: u64,
+    win: Option<u64>,
+}
+
+impl Unarmed {
+    const NONE: Unarmed = Unarmed { base: Addr::NULL, slot: 0, generation: 0, win: None };
+}
+
+impl From<(BlockInfo, Option<u64>)> for Unarmed {
+    fn from((block, win): (BlockInfo, Option<u64>)) -> Self {
+        Unarmed { base: block.base, slot: block.slot, generation: block.generation, win }
+    }
+}
+
 /// The part of an object's record a word cannot hold: its class and
 /// layout plan. `shadow[slot]` pairs with the heap's slot record, which
 /// carries every hash, generation and state bit; the entry is retained
@@ -178,97 +196,29 @@ type ObjectRefs = Option<(Arc<ClassInfo>, Arc<LayoutPlan>)>;
 
 /// Publication plumbing for a runtime whose heap serves its records to
 /// lock-free readers: the process-wide plan registry (plans resolvable
-/// by small integer id without a lock) plus a per-runtime cache of ids
-/// already interned, so steady-state allocation does not touch the
-/// registry mutex at all.
+/// by small integer id without a lock) plus this runtime's map from plan
+/// hash to `(registry id, canonical plan)`, so steady-state allocation
+/// resolves both with one lookup and never touches the registry mutex.
 #[derive(Debug)]
 struct MetaPublisher {
     registry: Arc<PlanRegistry>,
-    ids: HashMap<PlanHash, u32>,
-}
-
-/// One cached derived plan: the packed permutation code it was built
-/// from, the interned plan, and its published registry id (if any).
-#[derive(Debug, Clone)]
-struct StatelessEntry {
-    code: PermCode,
-    plan: Arc<LayoutPlan>,
-    plan_id: Option<u32>,
-}
-
-/// Number of direct-mapped entries in one class's derived-plan cache.
-/// Slot-reuse churn cycles through few generations, so a small table
-/// captures the working set; conflict misses just re-derive.
-const STATELESS_CACHE_WAYS: usize = 64;
-
-/// Per-class cache of derived stateless plans, keyed by permutation
-/// code. A hit turns an allocation's plan work into one array index and
-/// an `Arc` clone — no Feistel walk, no plan construction, no interner
-/// probe.
-///
-/// Classes whose whole code space fits ([`code_space`]`(n) ≤ 64`, i.e.
-/// ≤4 fields) get a *perfect* cache indexed by the permutation's Lehmer
-/// rank: exactly `n!` misses per class lifetime and then never again.
-/// Larger classes fall back to a direct-mapped Fibonacci spread, where
-/// conflicting codes evict each other (bounded memory beats a perfect
-/// hit rate there — an 8-field class has 40 320 codes).
-#[derive(Debug)]
-struct StatelessClassCache {
-    class: ClassHash,
-    /// Identity-independent block size bound (traps included per
-    /// config), computed once per class.
-    bound: u32,
-    fields: u8,
-    /// Whole code space fits: index by Lehmer rank, collision-free.
-    perfect: bool,
-    entries: Vec<Option<StatelessEntry>>,
-}
-
-impl StatelessClassCache {
-    fn new(class: ClassHash, bound: u32, fields: u8) -> Self {
-        let ways = code_space(usize::from(fields)).min(STATELESS_CACHE_WAYS);
-        StatelessClassCache {
-            class,
-            bound,
-            fields,
-            perfect: code_space(usize::from(fields)) <= STATELESS_CACHE_WAYS,
-            entries: vec![None; ways],
-        }
-    }
-
-    /// Cache slot for a code: the Lehmer rank when the class's code
-    /// space fits entirely (bijective — no conflicts), else a
-    /// direct-mapped Fibonacci spread of the packed permutation bits.
-    #[inline]
-    fn way(&self, code: PermCode) -> usize {
-        if self.perfect {
-            code_rank(code, usize::from(self.fields))
-        } else {
-            ((u64::from(code).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize)
-                % STATELESS_CACHE_WAYS
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.entries.capacity() * std::mem::size_of::<Option<StatelessEntry>>()
-    }
+    plans: PlanMap<(u32, Arc<LayoutPlan>)>,
 }
 
 /// Everything the stateless allocation fast path owns: the interned
 /// round-key schedule for the runtime's epoch key, the buffered
-/// permutation-code block, and the per-class derived-plan caches.
+/// permutation-code block, and the shape of every stateless class seen.
 #[derive(Debug)]
 struct StatelessState {
     keys: RoundKeys,
     block: PermBlock,
-    caches: Vec<StatelessClassCache>,
-    /// Index of the cache the last allocation used (monomorphic hint:
+    classes: Vec<StatelessShape>,
+    /// Index of the shape the last allocation used (monomorphic hint:
     /// the common case is a run of one class, resolved by one compare).
     last: usize,
-    /// Allocations served from the derived-plan cache: each is a plan
-    /// record the runtime did not have to build — the stateless path's
-    /// contribution to the dedup counter.
+    /// Reservations whose plan was already resolved (a hash seen
+    /// before): each is a plan record the runtime did not have to build
+    /// — the stateless path's contribution to the dedup counter.
     hits: u64,
 }
 
@@ -277,18 +227,18 @@ impl StatelessState {
         StatelessState {
             keys: RoundKeys::new(key),
             block: PermBlock::empty(),
-            caches: Vec::new(),
+            classes: Vec::new(),
             last: 0,
             hits: 0,
         }
     }
 
-    /// Bytes of bookkeeping the stateless path itself costs (cached
+    /// Bytes of bookkeeping the stateless path itself costs (resolved
     /// plans are interner-owned and counted there).
     fn metadata_bytes(&self) -> usize {
         std::mem::size_of::<RoundKeys>()
             + std::mem::size_of::<PermBlock>()
-            + self.caches.iter().map(StatelessClassCache::bytes).sum::<usize>()
+            + self.classes.capacity() * std::mem::size_of::<StatelessShape>()
     }
 }
 
@@ -404,7 +354,7 @@ pub struct ObjectRuntime {
     pools: PlanPools,
     /// Key for the stateless small-class permutation derivation.
     epoch_key: EpochKey,
-    /// Round-key schedule, code buffer and per-class plan caches for the
+    /// Round-key schedule, code buffer and per-class shapes for the
     /// stateless allocation fast path.
     stateless: StatelessState,
     rng: BufferedRng,
@@ -474,7 +424,7 @@ impl ObjectRuntime {
     ) -> Self {
         let mut rt = Self::new(mode, config);
         rt.heap = SimHeap::new_published(config.heap);
-        rt.publish = Some(MetaPublisher { registry, ids: HashMap::new() });
+        rt.publish = Some(MetaPublisher { registry, plans: PlanMap::default() });
         rt
     }
 
@@ -503,13 +453,19 @@ impl ObjectRuntime {
     pub fn stats(&self) -> RuntimeStats {
         let mut s = self.stats;
         s.unique_plans = self.interner.unique_plans() as u64;
-        // Derived-plan cache hits are dedup saves too: an allocation that
-        // reused a cached stateless plan stored no new metadata record.
+        // Resolved stateless plans are dedup saves too: an allocation
+        // that reused one stored no new metadata record.
         s.dedup_saved = self.interner.dedup_hits() + self.stateless.hits;
         let pool = self.pools.stats();
         s.pool_hits = pool.hits;
         s.pool_refills = pool.refills;
         s
+    }
+
+    /// Count `n` remote frees completed by a drain of this shard's
+    /// remote-free stack (the caller holds the shard's lock).
+    pub(crate) fn count_remote_drained(&mut self, n: u64) {
+        self.stats.remote_drained += n;
     }
 
     /// Reset the event counters (interner contents are kept).
@@ -581,7 +537,7 @@ impl ObjectRuntime {
         // interner-owned and already counted above).
         let pool_bytes = self.pools.metadata_bytes();
         // Stateless-path bookkeeping: the round-key schedule, the code
-        // block, and the per-class derived-plan caches (their plans are
+        // block, and the per-class shapes (derived plans are
         // interner-owned and counted above).
         let stateless_bytes = self.stateless.metadata_bytes();
         record_bytes + plan_bytes + static_bytes + pool_bytes + stateless_bytes
@@ -653,113 +609,171 @@ impl ObjectRuntime {
         info: &Arc<ClassInfo>,
         plan: Arc<LayoutPlan>,
     ) -> Result<Capsule, RuntimeError> {
-        let BlockInfo { base, slot, generation, .. } =
-            self.heap.malloc_block(plan.size().max(1) as usize)?;
-        // One writer window spans canary seeding and the record write:
-        // a lock-free reader either sees the slot's previous
-        // record (whose meta generation no longer matches) or the
-        // complete new one — never a half-recorded object.
-        let win = self.heap.pub_open(slot);
-        let (plan_id, plan) = Self::publish_canonical(&mut self.publish, plan);
-        let seeded = self.seed_canaries(base, &plan);
-        if seeded.is_ok() {
-            self.record_object_at(slot, generation, Arc::clone(info), plan, plan_id);
-        }
-        self.heap.pub_close(slot, win);
-        seeded?;
-        Ok(Capsule { base, slot })
+        let block = Unarmed::from(self.heap.malloc_block_open(plan.size().max(1) as usize)?);
+        let (plan, plan_id) = Self::publish_canonical(&mut self.publish, plan);
+        self.arm(block, info, plan, plan_id)?;
+        Ok(Capsule { base: block.base, slot: block.slot })
     }
 
-    /// The SPAM-style allocation: malloc first (the size bound is
-    /// identity-independent), then derive the permutation from the heap
-    /// identity the malloc just produced. The derived plan — and, when
-    /// traps are on, its virtual trap geometry — is re-derivable from
-    /// (epoch key, generation, slot) alone, which is what makes the path
-    /// "stateless": the stored `Arc` is a cache, not the source of truth.
-    ///
-    /// The hot path touches no key derivation (the round-key schedule is
-    /// interned per runtime), batches Feistel walks through the code
-    /// block on slot-reuse runs, and resolves repeated permutation codes
-    /// through the per-class plan cache — an array index plus an `Arc`
-    /// clone in steady state.
+    /// The SPAM-style allocation: one stateless reservation, counted.
     fn olr_malloc_stateless(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
-        let capsule = self.reserve_stateless(info)?;
+        let mut reserved = None;
+        self.reserve_stateless(info, 1, |cap| reserved = Some(cap))?;
+        let capsule = reserved.expect("a successful reservation yields its capsule");
         self.stats.allocations += 1;
         self.stats.stateless_allocs += 1;
         Ok(capsule.base)
     }
 
-    /// Stateless-path reservation without the allocation stats — the
-    /// counterpart of [`reserve_with_plan`](ObjectRuntime::reserve_with_plan)
-    /// for small classes. The magazine front-end counts `allocations`
-    /// and `stateless_allocs` at pop time.
+    /// The one stateless reservation body: reserve up to `count`
+    /// fully-armed allocations of `info`, handing each capsule to
+    /// `reserved` in reservation order, without counting allocations
+    /// (`olr_malloc` reserves one and counts it; a magazine refill
+    /// reserves a batch and counts at pop time).
+    ///
+    /// Malloc first — the size bound is identity-independent — then
+    /// derive each permutation from the heap identity (slot, generation)
+    /// the malloc produced. The layout is re-derivable from (epoch key,
+    /// generation, slot) alone, which is what makes the path
+    /// "stateless": the stored `Arc` is a cache, not the source of truth.
+    ///
+    /// Work proceeds in chunks of [`PERM_BLOCK_RUN`] and allocates
+    /// nothing: the chunk's blocks are malloced, their codes derived
+    /// together (round-major lanes; a lone capsule goes through the
+    /// [`PermBlock`], whose same-slot generation runs serve LIFO reuse),
+    /// then their plan hashes are computed together on the stack, and
+    /// each capsule's plan is resolved by
+    /// [`ObjectRuntime::resolve_stateless`] — one lookup, building a plan
+    /// only the first time its hash appears — and the capsule is armed.
+    ///
+    /// # Errors
+    ///
+    /// Heap exhaustion on the first reservation propagates and nothing
+    /// is reserved. A later exhaustion ends the batch early: the
+    /// reserved prefix stands and the call succeeds.
     pub(crate) fn reserve_stateless(
         &mut self,
         info: &Arc<ClassInfo>,
-    ) -> Result<Capsule, RuntimeError> {
-        let ci = self.stateless_cache_idx(info);
-        let cache = &self.stateless.caches[ci];
-        let (bound, n) = (cache.bound.max(1) as usize, usize::from(cache.fields));
-        let BlockInfo { base, slot, generation, .. } = self.heap.malloc_block(bound)?;
-        let st = &mut self.stateless;
-        let code = st.block.code_for(&st.keys, slot, generation, n);
-        let way = st.caches[ci].way(code);
-        let (plan, plan_id) = match &st.caches[ci].entries[way] {
-            Some(e) if e.code == code => {
-                st.hits += 1;
-                (Arc::clone(&e.plan), e.plan_id)
+        count: usize,
+        mut reserved: impl FnMut(Capsule),
+    ) -> Result<(), RuntimeError> {
+        let shape = self.stateless_shape(info);
+        let (n, bound) = (shape.field_count(), shape.bound().max(1) as usize);
+        let mut done = 0;
+        while done < count {
+            let want = (count - done).min(PERM_BLOCK_RUN);
+            let mut blocks = [Unarmed::NONE; PERM_BLOCK_RUN];
+            let mut ids = [(0u32, 0u64); PERM_BLOCK_RUN];
+            let mut got = 0;
+            let mut exhausted = None;
+            while got < want {
+                match self.heap.malloc_block_open(bound) {
+                    Ok(opened) => {
+                        blocks[got] = Unarmed::from(opened);
+                        ids[got] = (blocks[got].slot, blocks[got].generation);
+                        got += 1;
+                    }
+                    Err(err) => {
+                        exhausted = Some(err);
+                        break;
+                    }
+                }
             }
-            _ => {
-                let built = stateless_plan_from_code(
-                    info,
-                    self.epoch_key,
-                    code,
-                    self.config.stateless.virtual_traps,
-                );
-                let interned = self.interner.intern(built);
-                let (plan_id, plan) = Self::publish_canonical(&mut self.publish, interned);
-                self.stateless.caches[ci].entries[way] =
-                    Some(StatelessEntry { code, plan: Arc::clone(&plan), plan_id });
-                (plan, plan_id)
+            let mut codes = [0 as PermCode; PERM_BLOCK_RUN];
+            let mut hashes = [PlanHash(0); PERM_BLOCK_RUN];
+            let (st, key) = (&mut self.stateless, self.epoch_key);
+            if got == 1 {
+                codes[0] = st.block.code_for(&st.keys, ids[0].0, ids[0].1, n);
+                hashes[0] = shape.plan_hash(key, codes[0]);
+            } else {
+                st.keys.perm_codes(&ids[..got], n, &mut codes);
+                shape.plan_hashes(key, &codes[..got], &mut hashes);
             }
-        };
-        // One writer window spans canary seeding (virtual traps carry
-        // canaries like any stored dummy) and the record write.
-        let win = self.heap.pub_open(slot);
-        let seeded = self.seed_canaries(base, &plan);
-        if seeded.is_ok() {
-            self.record_object_at(slot, generation, Arc::clone(info), plan, plan_id);
+            for i in 0..got {
+                let code = codes[i];
+                let (plan, plan_id) = self.resolve_stateless(hashes[i], || shape.plan(key, code));
+                if let Err(err) = self.arm(blocks[i], info, plan, plan_id) {
+                    // Unreachable in practice (canaries land inside a
+                    // block sized by the bound); release what the chunk
+                    // cannot arm rather than leak it.
+                    for b in &blocks[i + 1..got] {
+                        self.heap.pub_close(b.slot, b.win);
+                    }
+                    for b in &blocks[i..got] {
+                        let _ = self.heap.free(b.base);
+                    }
+                    return Err(err);
+                }
+                reserved(Capsule { base: blocks[i].base, slot: blocks[i].slot });
+            }
+            done += got;
+            if let Some(err) = exhausted {
+                return if done == 0 { Err(err.into()) } else { Ok(()) };
+            }
         }
-        self.heap.pub_close(slot, win);
-        seeded?;
-        Ok(Capsule { base, slot })
+        Ok(())
     }
 
-    /// Index of (creating on first sight) the derived-plan cache for
-    /// `info`, with a monomorphic last-class hint in front.
+    /// The canonical plan and registry id for a stateless plan hash:
+    /// one [`PlanMap`] lookup — the publisher's on a published runtime,
+    /// the interner's otherwise — with `build` run only the first time
+    /// the hash appears (then interned, and registered when published).
     #[inline]
-    fn stateless_cache_idx(&mut self, info: &ClassInfo) -> usize {
+    fn resolve_stateless(
+        &mut self,
+        hash: PlanHash,
+        build: impl FnOnce() -> LayoutPlan,
+    ) -> (Arc<LayoutPlan>, Option<u32>) {
+        let hit = match &self.publish {
+            Some(p) => p.plans.get(&hash).map(|(id, plan)| (Arc::clone(plan), Some(*id))),
+            None => self.interner.get(hash).map(|plan| (Arc::clone(plan), None)),
+        };
+        if let Some(hit) = hit {
+            self.stateless.hits += 1;
+            return hit;
+        }
+        let interned = self.interner.intern(build());
+        Self::publish_canonical(&mut self.publish, interned)
+    }
+
+    /// The shape of stateless class `info` (resolved on first sight),
+    /// with a monomorphic last-class hint in front.
+    #[inline]
+    fn stateless_shape(&mut self, info: &ClassInfo) -> StatelessShape {
         let class = info.hash();
         let st = &mut self.stateless;
-        if let Some(c) = st.caches.get(st.last) {
-            if c.class == class {
-                return st.last;
-            }
+        if let Some(shape) = st.classes.get(st.last).filter(|s| s.class() == class) {
+            return *shape;
         }
-        let idx = match st.caches.iter().position(|c| c.class == class) {
+        let idx = match st.classes.iter().position(|s| s.class() == class) {
             Some(i) => i,
             None => {
-                let bound = stateless_bound(info, self.config.stateless.virtual_traps);
-                st.caches.push(StatelessClassCache::new(
-                    class,
-                    bound,
-                    info.field_count() as u8,
-                ));
-                st.caches.len() - 1
+                st.classes.push(StatelessShape::new(info, self.config.stateless.virtual_traps));
+                st.classes.len() - 1
             }
         };
         st.last = idx;
-        idx
+        st.classes[idx]
+    }
+
+    /// Arm a freshly malloced block: seed `plan`'s canaries and write the
+    /// object record inside the writer window `win` the malloc left
+    /// open, then close it — a lock-free reader sees either the slot's
+    /// previous record (whose meta generation no longer matches) or the
+    /// complete new one, never a half-recorded object.
+    fn arm(
+        &mut self,
+        block: Unarmed,
+        info: &Arc<ClassInfo>,
+        plan: Arc<LayoutPlan>,
+        plan_id: Option<u32>,
+    ) -> Result<(), RuntimeError> {
+        let seeded = self.seed_canaries(block.base, &plan);
+        if seeded.is_ok() {
+            self.record_object_at(block.slot, block.generation, info, plan, plan_id);
+        }
+        self.heap.pub_close(block.slot, block.win);
+        seeded
     }
 
     /// Write (or overwrite) the object record for the block at `base`,
@@ -771,7 +785,7 @@ impl ObjectRuntime {
     fn record_object_with_id(
         &mut self,
         base: Addr,
-        class: Arc<ClassInfo>,
+        class: &Arc<ClassInfo>,
         plan: Arc<LayoutPlan>,
         plan_id: Option<u32>,
     ) {
@@ -788,7 +802,7 @@ impl ObjectRuntime {
         &mut self,
         slot: u32,
         block_gen: u64,
-        class: Arc<ClassInfo>,
+        class: &Arc<ClassInfo>,
         plan: Arc<LayoutPlan>,
         plan_id: Option<u32>,
     ) {
@@ -798,49 +812,51 @@ impl ObjectRuntime {
         if self.shadow.len() <= i {
             self.shadow.resize(i + 1, None);
         }
-        if self.shadow[i].replace((class, plan)).is_none() {
-            self.meta_count += 1;
+        match &mut self.shadow[i] {
+            // A slot re-armed with its previous class keeps that `Arc`:
+            // one reference-count round trip fewer per reservation.
+            Some((old_class, old_plan)) => {
+                if !Arc::ptr_eq(old_class, class) {
+                    *old_class = Arc::clone(class);
+                }
+                *old_plan = plan;
+            }
+            empty => {
+                *empty = Some((Arc::clone(class), plan));
+                self.meta_count += 1;
+            }
         }
-    }
-
-    /// Registry id for `plan` on a published runtime (interning it on
-    /// first sight and caching per runtime); `None` when unpublished or
-    /// the registry is full — readers then fall back to the lock.
-    /// Associated (not a method) so callers holding field borrows of
-    /// `self` can still resolve ids.
-    fn publish_id(publish: &mut Option<MetaPublisher>, plan: &Arc<LayoutPlan>) -> Option<u32> {
-        let publish = publish.as_mut()?;
-        if let Some(&id) = publish.ids.get(&plan.plan_hash()) {
-            return Some(id);
-        }
-        let id = publish.registry.intern(plan)?;
-        publish.ids.insert(plan.plan_hash(), id);
-        Some(id)
     }
 
     /// Resolve `plan`'s registry id and adopt the registry's *canonical*
-    /// copy for it. The plan hash deliberately excludes canary values
-    /// (structurally identical plans intern together), so a locally
-    /// derived twin — another shard's stateless derivation under its own
-    /// epoch key, or another thread's engine draw — can carry different
-    /// trap values than the copy the registry serves to lock-free
-    /// readers. Seeding and recording the canonical plan keeps the armed
-    /// bytes, the object record and the published id's resolution in
-    /// exact agreement; the lock-free free path's trap sweep depends on
-    /// that. Unpublished runtimes (and a full registry) keep the local
-    /// plan.
+    /// copy for it — one [`PlanMap`] lookup once the hash has been seen.
+    /// The plan hash deliberately excludes canary values (structurally
+    /// identical plans intern together), so a locally derived twin —
+    /// another shard's stateless derivation under its own epoch key, or
+    /// another thread's engine draw — can carry different trap values
+    /// than the copy the registry serves to lock-free readers. Seeding
+    /// and recording the canonical plan keeps the armed bytes, the object
+    /// record and the published id's resolution in exact agreement; the
+    /// lock-free free path's trap sweep depends on that. Unpublished
+    /// runtimes (and a full registry) keep the local plan, with no id —
+    /// readers then fall back to the lock. Associated (not a method) so
+    /// callers holding field borrows of `self` can still resolve.
     fn publish_canonical(
         publish: &mut Option<MetaPublisher>,
         plan: Arc<LayoutPlan>,
-    ) -> (Option<u32>, Arc<LayoutPlan>) {
-        let Some(id) = Self::publish_id(publish, &plan) else {
-            return (None, plan);
+    ) -> (Arc<LayoutPlan>, Option<u32>) {
+        let Some(p) = publish.as_mut() else {
+            return (plan, None);
         };
-        let canonical = publish
-            .as_ref()
-            .and_then(|p| p.registry.get(id))
-            .map_or(plan, Arc::clone);
-        (Some(id), canonical)
+        if let Some((id, canonical)) = p.plans.get(&plan.plan_hash()) {
+            return (Arc::clone(canonical), Some(*id));
+        }
+        let Some(id) = p.registry.intern(&plan) else {
+            return (plan, None);
+        };
+        let canonical = p.registry.get(id).map_or(plan, Arc::clone);
+        p.plans.insert(canonical.plan_hash(), (id, Arc::clone(&canonical)));
+        (canonical, Some(id))
     }
 
     fn seed_canaries(&mut self, base: Addr, plan: &LayoutPlan) -> Result<(), RuntimeError> {
@@ -1169,9 +1185,9 @@ impl ObjectRuntime {
                 let to = dst.offset(dst_plan.offset(field) as u64);
                 self.heap.write(to, &staged.bytes[staged.starts[field]..][..size])?;
             }
-            let (dst_id, dst_plan) = Self::publish_canonical(&mut self.publish, dst_plan);
+            let (dst_plan, dst_id) = Self::publish_canonical(&mut self.publish, dst_plan);
             self.seed_canaries(dst, &dst_plan)?;
-            self.record_object_with_id(dst, info, dst_plan, dst_id);
+            self.record_object_with_id(dst, &info, dst_plan, dst_id);
             Ok(())
         })();
         if let Some(slot) = dst_slot {
@@ -2080,6 +2096,50 @@ mod tests {
             obj = next;
         }
         assert!(hashes.len() > 1, "generation bump must re-randomize");
+    }
+
+    #[test]
+    fn batched_reservation_stops_at_heap_exhaustion_with_the_prefix_armed() {
+        // The refill body on a plain engine: 32 reservations asked for,
+        // a heap with room for exactly `k - 1` more blocks of its size.
+        let info = people();
+        let bound = polar_layout::stateless_bound(&info, true) as usize;
+        for k in [1usize, 2, 7, 9, 17] {
+            let mut config = RuntimeConfig::default();
+            config.heap.capacity = 16 << 10;
+            let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
+            let mut raw = Vec::new();
+            while let Ok(a) = rt.heap_mut().malloc(bound) {
+                raw.push(a);
+            }
+            let block = rt.heap().stats().bytes_live / raw.len();
+            for a in raw.drain(raw.len() - (k - 1)..) {
+                rt.heap_mut().free(a).expect("raw free");
+            }
+            let mut caps = Vec::new();
+            let reserved = rt.reserve_stateless(&info, 32, |cap| caps.push(cap));
+            if k == 1 {
+                assert!(matches!(
+                    reserved,
+                    Err(RuntimeError::Heap(polar_simheap::HeapError::OutOfMemory { .. }))
+                ));
+            } else {
+                reserved.expect("a partial batch succeeds");
+            }
+            assert_eq!(caps.len(), k - 1, "k={k}: exactly the reserved prefix");
+            for a in raw {
+                rt.heap_mut().free(a).expect("raw free");
+            }
+            assert_eq!(rt.heap().stats().bytes_live, (k - 1) * block);
+            for cap in &caps {
+                let meta = rt.object_meta(cap.base).expect("armed");
+                assert_eq!(meta.state, ObjectState::Live);
+                assert!(rt.check_traps(cap.base).expect("tracked").is_empty());
+                assert!(rt.retire_reserved(cap.slot));
+            }
+            assert_eq!(rt.heap().stats().bytes_live, 0, "k={k}: no block leaks");
+            assert_eq!(rt.stats().allocations, 0, "reservations are not allocations");
+        }
     }
 
     #[test]

@@ -369,7 +369,8 @@ impl ShardedRuntime {
     /// retire each claimed slot (flip its record, release the heap
     /// block). The block's free was already *counted* by the
     /// claiming thread (`fast_frees`); the drain only completes it and
-    /// counts `remote_drained`.
+    /// counts `remote_drained` into the shard's own plain counters,
+    /// which the lock it already holds protects — no shared atomic.
     ///
     /// Retirement is gated on the slot record still reading
     /// `FREED` with matching generations: a slot whose block raced
@@ -395,10 +396,7 @@ impl ShardedRuntime {
             }
             drained += 1;
         }
-        if drained != 0 {
-            self.facade
-                .add(&RuntimeStats { remote_drained: drained, ..RuntimeStats::default() });
-        }
+        rt.count_remote_drained(drained);
     }
 
     /// Route `addr` to its shard's lock, or fail with `err`.
@@ -612,15 +610,13 @@ impl ShardedRuntime {
     /// shard + one per handle), so they bound metadata held, not global
     /// plan distinctness.
     pub fn stats(&self) -> RuntimeStats {
-        let mut total = RuntimeStats::default();
+        // Every fast-free claim the facade counts was pushed before its
+        // handle flushed, and each shard visit drains its stack first,
+        // so the shards' `remote_drained` covers the facade's claims.
+        let mut total = self.facade.snapshot();
         for i in 0..self.shards.len() {
             total += self.shard_ignore_poison(i).stats();
         }
-        // Snapshot the facade *after* visiting the shards: each visit
-        // drains that shard's remote-free stack, and the drain counts
-        // `remote_drained` into the facade — snapshotting first would
-        // report the claims (`fast_frees`) without their completions.
-        total += self.facade.snapshot();
         total
     }
 
@@ -855,13 +851,7 @@ impl ShardHandle<'_> {
         let mut shard = self.rt.shard(self.home)?;
         let caps = &mut self.magazines[idx].1.caps;
         if stateless {
-            for i in 0..MAGAZINE_BATCH {
-                match shard.reserve_stateless(info) {
-                    Ok(cap) => caps.push_back(cap),
-                    Err(err) if i == 0 => return Err(err),
-                    Err(_) => break,
-                }
-            }
+            shard.reserve_stateless(info, MAGAZINE_BATCH, |cap| caps.push_back(cap))?;
         } else {
             for (i, plan) in plans.into_iter().enumerate() {
                 match shard.reserve_with_plan(info, plan) {

@@ -595,6 +595,22 @@ impl SimHeap {
     ///
     /// As for [`SimHeap::malloc`].
     pub fn malloc_block(&mut self, size: usize) -> Result<BlockInfo, HeapError> {
+        let (block, win) = self.malloc_block_open(size)?;
+        self.pub_close(block.slot, win);
+        Ok(block)
+    }
+
+    /// [`SimHeap::malloc_block`], returning with the new block's writer
+    /// window open (the token is `None` on an unpublished heap): a
+    /// caller that records an object in the block writes it inside the
+    /// same window that bumped the generation, then closes it with
+    /// [`SimHeap::pub_close`] — one window per allocation instead of
+    /// two.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SimHeap::malloc`]; no window is left open on error.
+    pub fn malloc_block_open(&mut self, size: usize) -> Result<(BlockInfo, Option<u64>), HeapError> {
         if size == 0 {
             return Err(HeapError::ZeroSize);
         }
@@ -646,7 +662,7 @@ impl SimHeap {
         };
         let addr = Addr(base);
         let start = (base - self.config.arena_base) as usize;
-        let (slot, span, generation) = match self.slot_of_base(addr) {
+        let (slot, span, generation, win) = match self.slot_of_base(addr) {
             Some(slot) => {
                 // Reused slot: same base, same span — bump the generation.
                 // The generation bump and the zero-fill race concurrent
@@ -662,8 +678,7 @@ impl SimHeap {
                 if self.config.zero_on_alloc {
                     self.store.fill(start, span, 0);
                 }
-                self.pub_close(slot, win);
-                (slot, span, generation)
+                (slot, span, generation, win)
             }
             None => {
                 if self.slots == u32::MAX {
@@ -681,13 +696,13 @@ impl SimHeap {
                 self.table.init(slot, base, usable);
                 let first = start / ALIGN;
                 self.table.map_units(first, first + usable.div_ceil(ALIGN), slot);
-                (slot, usable, 1)
+                (slot, usable, 1, self.pub_open(slot))
             }
         };
         self.stats.allocs += 1;
         self.stats.bytes_live += span;
         self.stats.bytes_peak = self.stats.bytes_peak.max(self.stats.bytes_live);
-        Ok(BlockInfo { base: addr, size: span, state: BlockState::Live, generation, slot })
+        Ok((BlockInfo { base: addr, size: span, state: BlockState::Live, generation, slot }, win))
     }
 
     fn grow(&mut self, usable: usize) -> Result<u64, HeapError> {

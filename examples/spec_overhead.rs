@@ -17,8 +17,7 @@ use polar::workloads::spec;
 fn measure(module: &polar::ir::Module, mode: RandomizeMode, input: &[u8], limits: ExecLimits) -> f64 {
     let mut best = f64::INFINITY;
     for rep in 0..3 {
-        let mut config = RuntimeConfig::default();
-        config.seed = 100 + rep;
+        let mut config = RuntimeConfig { seed: 100 + rep, ..RuntimeConfig::default() };
         config.heap.capacity = 512 << 20;
         let mut rt = ObjectRuntime::new(mode, config);
         let start = Instant::now();

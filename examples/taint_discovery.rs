@@ -48,7 +48,7 @@ fn main() {
     // ------------------------------------------------------------------
     let (polar, feedback) = Polar::new().targets_from_taintclass(
         &png.module,
-        &[input.clone()],
+        std::slice::from_ref(&input),
         ExecLimits::default(),
     );
     let hardened = polar.harden(&png.module);

@@ -6,7 +6,8 @@
 #    (i.e. anything that would hit a registry) fails the check.
 # 2. Run the tier-1 gate: cargo build --release && cargo test -q.
 # 3. Run clippy with warnings denied on the heap, runtime, IR,
-#    instrumentation, attack and workload crates.
+#    instrumentation, attack, workload and bench crates and the root
+#    package.
 # 4. Run every workspace crate's tests, build the workspace binaries,
 #    then run the release smokes, the bench gate and the security gate.
 #
@@ -67,12 +68,13 @@ cargo build --release --offline
 cargo test -q --offline
 echo "ok: tier-1 green"
 
-echo "== clippy (simheap, runtime, ir, instrument, attacks, workloads) =="
+echo "== clippy (simheap, runtime, ir, instrument, attacks, workloads, bench, suite) =="
 # These crates (and the in-tree libraries they build on: rng, classinfo,
-# layout, check, fuzz, taint) must stay free of clippy warnings;
-# polar-bench and the root package are not gated yet.
+# layout, check, fuzz, taint and the `polar` core crate) must stay free
+# of clippy warnings; polar-suite is the root package (its tests and
+# examples).
 cargo clippy --offline -p polar-simheap -p polar-runtime -p polar-ir -p polar-instrument \
-    -p polar-attacks -p polar-workloads --all-targets -- -D warnings
+    -p polar-attacks -p polar-workloads -p polar-bench -p polar-suite --all-targets -- -D warnings
 echo "ok: clippy clean"
 
 echo "== workspace tests =="

@@ -9,8 +9,7 @@ use polar::runtime::ShardedRuntime;
 use polar::prelude::*;
 
 fn polar_config(seed: u64) -> RuntimeConfig {
-    let mut c = RuntimeConfig::default();
-    c.seed = seed;
+    let mut c = RuntimeConfig { seed, ..RuntimeConfig::default() };
     c.heap.capacity = 512 << 20;
     c
 }
@@ -156,7 +155,7 @@ fn facade_selective_hardening_stays_transparent() {
     let w = polar::workloads::minipng::workload();
     let (polar_cfg, report) = Polar::new().targets_from_taintclass(
         &w.module,
-        &[w.input.clone()],
+        std::slice::from_ref(&w.input),
         w.limits,
     );
     assert_eq!(report.tainted_class_count(), 8);

@@ -78,7 +78,7 @@ fn generated_plans_always_validate() {
     let strategy = (arbitrary_class(), arbitrary_policy(), any::<u64>());
     check_with(cfg(), "generated_plans_always_validate", &strategy, |(decl, policy, seed)| {
         let info = ClassInfo::from_decl(decl.clone());
-        let engine = LayoutEngine::new(policy.clone());
+        let engine = LayoutEngine::new(*policy);
         let mut rng = StdRng::seed_from_u64(*seed);
         for _ in 0..8 {
             let plan = engine.generate(&info, &mut rng);
@@ -101,7 +101,7 @@ fn plans_are_permutations() {
     let strategy = (arbitrary_class(), arbitrary_policy(), any::<u64>());
     check_with(cfg(), "plans_are_permutations", &strategy, |(decl, policy, seed)| {
         let info = ClassInfo::from_decl(decl.clone());
-        let engine = LayoutEngine::new(policy.clone());
+        let engine = LayoutEngine::new(*policy);
         let mut rng = StdRng::seed_from_u64(*seed);
         let plan = engine.generate(&info, &mut rng);
         let mut perm = plan.permutation();
@@ -147,7 +147,7 @@ fn cache_line_aware_preserves_alignment() {
                     let offset = plan.offset(idx);
                     let align = field.kind().align();
                     ensure!(
-                        offset % align == 0,
+                        offset.is_multiple_of(align),
                         "field {idx} at offset {offset} breaks alignment {align}: {plan}"
                     );
                 }
@@ -165,7 +165,7 @@ fn dummy_count_respects_policy_bounds() {
     let strategy = (arbitrary_class(), arbitrary_policy(), any::<u64>());
     check_with(cfg(), "dummy_count_respects_policy_bounds", &strategy, |(decl, policy, seed)| {
         let info = ClassInfo::from_decl(decl.clone());
-        let engine = LayoutEngine::new(policy.clone());
+        let engine = LayoutEngine::new(*policy);
         let mut rng = StdRng::seed_from_u64(*seed);
         let plan = engine.generate(&info, &mut rng);
         let n = plan.dummies().len() as u32;
@@ -236,13 +236,15 @@ fn placement_preserves_allocator_invariants() {
         "placement_preserves_allocator_invariants",
         &strategy,
         |(rolls, depth, offset_bits, gap_bits, seed, quarantine)| {
-            let mut config = HeapConfig::default();
-            config.quarantine = *quarantine;
-            config.placement = PlacementPolicy {
-                shuffle_depth: *depth,
-                offset_entropy_bits: *offset_bits,
-                guard_gap_bits: *gap_bits,
-                seed: *seed,
+            let config = HeapConfig {
+                quarantine: *quarantine,
+                placement: PlacementPolicy {
+                    shuffle_depth: *depth,
+                    offset_entropy_bits: *offset_bits,
+                    guard_gap_bits: *gap_bits,
+                    seed: *seed,
+                },
+                ..HeapConfig::default()
             };
             // Mixed small/large sizes, including class-aligned-but-not-
             // exact spans, so both reuse pools and the release predicate
@@ -362,8 +364,7 @@ fn random_field_programs_are_transparent() {
 
             let native = run_native(&module, &[], ExecLimits::default());
             let (hardened, _) = instrument(&module, &InstrumentOptions::default());
-            let mut config = RuntimeConfig::default();
-            config.seed = *seed;
+            let config = RuntimeConfig { seed: *seed, ..RuntimeConfig::default() };
             let polar = run_with_mode(
                 &hardened,
                 RandomizeMode::per_allocation(),
@@ -423,8 +424,7 @@ fn traps_have_no_false_positives() {
     let strategy = (arbitrary_class(), any::<u64>(), vec_of(any::<u64>(), 1..8));
     check_with(cfg(), "traps_have_no_false_positives", &strategy, |(decl, seed, values)| {
         let info = std::sync::Arc::new(ClassInfo::from_decl(decl.clone()));
-        let mut config = RuntimeConfig::default();
-        config.seed = *seed;
+        let config = RuntimeConfig { seed: *seed, ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let obj = rt.olr_malloc(&info).unwrap();
         for (i, v) in values.iter().enumerate() {
@@ -446,7 +446,7 @@ fn access_table_agrees_with_field_scan() {
     let strategy = (arbitrary_class(), arbitrary_policy(), any::<u64>());
     check_with(cfg(), "access_table_agrees_with_field_scan", &strategy, |(decl, policy, seed)| {
         let info = ClassInfo::from_decl(decl.clone());
-        let engine = LayoutEngine::new(policy.clone());
+        let engine = LayoutEngine::new(*policy);
         let mut rng = StdRng::seed_from_u64(*seed);
         for _ in 0..4 {
             let plan = engine.generate(&info, &mut rng);
@@ -478,8 +478,7 @@ fn pool_draw_sequence_is_deterministic() {
         let info = std::sync::Arc::new(ClassInfo::from_decl(decl.clone()));
         let mut seqs = Vec::new();
         for _ in 0..2 {
-            let mut config = RuntimeConfig::default();
-            config.seed = *seed;
+            let config = RuntimeConfig { seed: *seed, ..RuntimeConfig::default() };
             let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
             let mut seq = Vec::new();
             for _ in 0..*allocs {
@@ -504,9 +503,7 @@ fn pooled_plans_match_unpooled_validity() {
     check_with(cfg(), "pooled_plans_match_unpooled_validity", &strategy, |(decl, seed)| {
         let info = std::sync::Arc::new(ClassInfo::from_decl(decl.clone()));
         for pool in [PoolPolicy::default(), PoolPolicy::disabled()] {
-            let mut config = RuntimeConfig::default();
-            config.seed = *seed;
-            config.pool = pool;
+            let config = RuntimeConfig { seed: *seed, pool, ..RuntimeConfig::default() };
             let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
             for _ in 0..6 {
                 let obj = rt.olr_malloc(&info).unwrap();
@@ -663,8 +660,7 @@ fn caches_stay_coherent_across_remalloc() {
     let strategy = (arbitrary_class(), any::<u64>(), 1usize..4);
     check_with(cfg(), "caches_stay_coherent_across_remalloc", &strategy, |(decl, seed, rounds)| {
         let info = std::sync::Arc::new(ClassInfo::from_decl(decl.clone()));
-        let mut config = RuntimeConfig::default();
-        config.seed = *seed;
+        let config = RuntimeConfig { seed: *seed, ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         // One inline cache per field, reused across every round like the
         // static access sites of a loop body.
@@ -672,9 +668,9 @@ fn caches_stay_coherent_across_remalloc() {
         let mut obj = rt.olr_malloc(&info).unwrap();
         for _ in 0..*rounds {
             // Warm both cache layers on the current object.
-            for field in 0..info.field_count() {
+            for (field, ic) in ics.iter_mut().enumerate() {
                 rt.olr_getptr(obj, info.hash(), field).unwrap();
-                rt.olr_getptr_ic(obj, info.hash(), field, &mut ics[field]).unwrap();
+                rt.olr_getptr_ic(obj, info.hash(), field, ic).unwrap();
             }
             rt.olr_free(obj).unwrap();
             obj = rt.olr_malloc(&info).unwrap();
@@ -702,8 +698,7 @@ fn raw_reuse_never_serves_a_stale_plan() {
     let strategy = (arbitrary_class(), any::<u64>());
     check_with(cfg(), "raw_reuse_never_serves_a_stale_plan", &strategy, |(decl, seed)| {
         let info = std::sync::Arc::new(ClassInfo::from_decl(decl.clone()));
-        let mut config = RuntimeConfig::default();
-        config.seed = *seed;
+        let config = RuntimeConfig { seed: *seed, ..RuntimeConfig::default() };
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let obj = rt.olr_malloc(&info).unwrap();
         // The block's own size, not plan.size(): the stateless default

@@ -69,7 +69,7 @@ fn all_scorecard_modes_meet_their_detection_contract() {
         let corrupting =
             matches!(s.kind, ScenarioKind::TypeConfusion | ScenarioKind::UseAfterFree);
         for (label, defense) in &modes {
-            let stats = trials(&s, |t| defense(t), Attacker::BinaryAware, 16);
+            let stats = trials(&s, defense, Attacker::BinaryAware, 16);
             let tag = format!("{}/{label}", s.kind.label());
             match *label {
                 "native" | "static-olr" => {
